@@ -21,9 +21,8 @@ from .errors import DataWarning, InputError
 from .integrals import (
     AuxiliaryIntegrals,
     MolecularHamiltonian,
-    n_packed,
+    fill_from_canonical,
     pair_index,
-    packed_index,
 )
 
 __all__ = [
@@ -87,7 +86,7 @@ def parse_fcidump(text) -> MolecularHamiltonian:
         raise InputError("NORB must be non-negative")
 
     h = np.zeros((norb, norb))
-    g = np.zeros(n_packed(norb))
+    g = np.zeros((norb,) * 4)
     seen_h = np.zeros((norb, norb), dtype=bool)
     seen_g = np.zeros(g.shape, dtype=bool)
     core = 0.0
@@ -130,7 +129,11 @@ def parse_fcidump(text) -> MolecularHamiltonian:
         elif 0 in (i, j, k, l):
             raise InputError(f"line {lineno}: malformed index pattern {raw!r}")
         else:
-            c = packed_index(i - 1, j - 1, k - 1, l - 1)
+            p, q = max(i, j) - 1, min(i, j) - 1
+            r, s = max(k, l) - 1, min(k, l) - 1
+            if p * (p + 1) // 2 + q < r * (r + 1) // 2 + s:
+                p, q, r, s = r, s, p, q
+            c = (p, q, r, s)  # canonical slot
             if seen_g[c] and abs(g[c] - value) > 1e-10:
                 warnings.warn(
                     f"line {lineno}: conflicting duplicate for g[{i},{j},{k},{l}] "
@@ -145,7 +148,7 @@ def parse_fcidump(text) -> MolecularHamiltonian:
         n_orbitals=norb,
         core_constant=core,
         one_body=h,
-        two_body=g,
+        two_body=fill_from_canonical(g),
         n_electrons=nelec,
     )
 
@@ -153,9 +156,14 @@ def parse_fcidump(text) -> MolecularHamiltonian:
 def write_fcidump(ham: MolecularHamiltonian, stream: IO[str] | None = None) -> str | None:
     """Emit FCIDUMP text: canonical two-body lines, one-body lines, core.
 
-    One line per canonical tuple (p>=q, r>=s, (pq)>=(rs)) with magnitude
-    above 1e-12, in deterministic index order.  Values use repr precision
-    so parse(write(H)) reproduces every accessor bitwise.
+    One line per canonical tuple (p>=q, r>=s, (pq)>=(rs)) and one per
+    lower-triangle h_pq (p>=q) with magnitude above 1e-12, in deterministic
+    index order.  Values use repr precision, so parse(write(H)) reproduces
+    bitwise every two-body entry, the lower triangle of h and the core
+    constant; entries of magnitude 1e-12 or less read back as zero.  The
+    upper triangle of h is rebuilt from the lower one, so it round-trips
+    only where h is exactly symmetric (a rotated h can differ from its
+    transpose in the last bit).
     """
     n = ham.n_orbitals
     nelec = ham.n_electrons if ham.n_electrons is not None else 0

@@ -1,13 +1,13 @@
 """Hamiltonian and auxiliary-data containers.
 
-The two-electron tensor g_pqrs (chemist convention, (pq|rs)) is kept in an
-8-fold-symmetry packed layout: a flat array indexed by the composite pair
-index of (pq) and (rs).  Every symmetry image of a stored entry reads back
-the same float, so the permutational symmetries
+The two-electron tensor g_pqrs (chemist convention, (pq|rs)) is stored as a
+read-only dense N^4 array in which every symmetry image holds, bit for bit,
+the value of its canonical entry (p>=q, r>=s, pair(pq)>=pair(rs)), so the
+permutational symmetries
 
     (pq|rs) = (qp|rs) = (pq|sr) = (qp|sr) = (rs|pq) = (sr|pq) = (rs|qp) = (sr|qp)
 
-hold exactly by construction.
+hold exactly.
 """
 
 from __future__ import annotations
@@ -23,12 +23,14 @@ __all__ = [
     "AuxiliaryIntegrals",
     "ActiveSpaceSpec",
     "class_decomposition",
-    "n_packed",
+    "fill_from_canonical",
     "pair_index",
-    "packed_index",
+    "symmetrize_two_body",
 ]
 
 CLASS_NAMES = ("pppp", "pqqq", "pqpq", "ppqq", "pqrq", "pprs", "pqrs")
+
+SYMMETRY_TOL = 1e-8
 
 
 def pair_index(p, q):
@@ -38,73 +40,43 @@ def pair_index(p, q):
     return hi * (hi + 1) // 2 + lo
 
 
-def packed_index(p, q, r, s):
-    """Position of g_pqrs in the 8-fold packed layout; works on arrays."""
-    a = pair_index(p, q)
-    b = pair_index(r, s)
-    return pair_index(a, b)
+def fill_from_canonical(g: np.ndarray) -> np.ndarray:
+    """Copy of an N^4 tensor with every symmetry image set to its canonical entry.
 
-
-def n_packed(n_orbitals: int) -> int:
-    """Length of the packed two-electron array for N orbitals."""
-    m = n_orbitals * (n_orbitals + 1) // 2
-    return m * (m + 1) // 2
-
-
-# Cached 4-index gather maps (packed -> dense), keyed by N.  Read-only.
-_UNPACK_CACHE: dict[int, np.ndarray] = {}
-
-
-def _unpack_map(n: int) -> np.ndarray:
-    idx = _UNPACK_CACHE.get(n)
-    if idx is None:
-        p, q, r, s = np.ogrid[0:n, 0:n, 0:n, 0:n]
-        idx = packed_index(p, q, r, s)
-        idx.setflags(write=False)
-        _UNPACK_CACHE[n] = idx
-    return idx
-
-
-def _tri_rows(m: int):
-    """(hi, lo) arrays for hi >= lo, ordered to match ``pair_index``."""
-    hi = np.repeat(np.arange(m), np.arange(1, m + 1))
-    lo = np.arange(hi.size) - hi * (hi + 1) // 2
-    return hi, lo
-
-
-_CANON_CACHE: dict[int, tuple] = {}
-
-
-def _canonical_tuples(n: int):
-    """Representative (p, q, r, s) arrays, one per packed slot."""
-    reps = _CANON_CACHE.get(n)
-    if reps is None:
-        p_of, q_of = _tri_rows(n)
-        a, b = _tri_rows(n * (n + 1) // 2)
-        reps = (p_of[a], q_of[a], p_of[b], q_of[b])
-        _CANON_CACHE[n] = reps
-    return reps
-
-
-def pack_two_body(dense: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Pack a dense N^4 tensor, verifying its 8-fold symmetry to ``tol``.
-
-    The canonical representative (p>=q, r>=s, (pq)>=(rs)) wins; the check
-    compares the input against the round-tripped tensor so every symmetry
-    image is covered in one pass.
+    Only the canonical entries (p>=q, r>=s, pair(pq)>=pair(rs)) of ``g`` are
+    read: the (pq|rs) matrix over pairs p>=q is gathered, its upper triangle
+    is replaced by the transposed lower one, and the result is spread back
+    to every (p, q, r, s).  Values are copied, never combined.
     """
+    n = g.shape[0]
+    p, q = np.indices((n, n)).reshape(2, -1)
+    rows = np.flatnonzero(q <= p)  # flat (p, q) of the pairs p>=q, in pair order
+    pairs = np.take(np.take(g.reshape(n * n, n * n), rows, axis=0), rows, axis=1)
+    pairs = np.where(np.tri(rows.size, dtype=bool), pairs, pairs.T)
+    spread = pair_index(p, q)
+    return np.take(np.take(pairs, spread, axis=0), spread, axis=1).reshape(n, n, n, n)
+
+
+def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
+    """Canonical fill of a dense N^4 tensor, checking its 8-fold symmetry.
+
+    Raises InputError if the tensor is not N^4, holds non-finite entries, or
+    differs from its fill by more than SYMMETRY_TOL anywhere.
+    """
+    dense = np.asarray(dense, dtype=float)
     n = dense.shape[0]
     if dense.shape != (n, n, n, n):
         raise InputError(f"two-body tensor must be N^4, got {dense.shape}")
-    packed = np.ascontiguousarray(dense[_canonical_tuples(n)])
-    err = float(np.max(np.abs(dense - packed[_unpack_map(n)]))) if n else 0.0
     if not np.isfinite(dense).all():
         raise InputError("two-body tensor contains non-finite entries")
-    if err > tol:
+    filled = fill_from_canonical(dense)
+    err = float(np.max(np.abs(dense - filled), initial=0.0))
+    if err > SYMMETRY_TOL:
         raise InputError(
-            f"two-body tensor violates permutational symmetry by {err:.3e} (tol {tol:.1e})"
+            f"two-body tensor violates permutational symmetry by {err:.3e} "
+            f"(tol {SYMMETRY_TOL:.1e})"
         )
-    return packed
+    return filled
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -115,16 +87,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MolecularHamiltonian:
-    """Spin-free electronic Hamiltonian: core constant, h_pq, packed g_pqrs.
+    """Spin-free electronic Hamiltonian: core constant, h_pq, dense g_pqrs.
 
     All energies in Hartree.  Instances are immutable; the arrays are
-    flagged read-only so they can be shared freely.
+    flagged read-only so they can be shared freely.  The constructor
+    accepts only an exactly 8-fold-symmetric two-body tensor; build from
+    a tensor that is symmetric to round-off with ``from_dense``.
     """
 
     n_orbitals: int
     core_constant: float
     one_body: np.ndarray
-    two_body: np.ndarray  # packed, length n_packed(n_orbitals)
+    two_body: np.ndarray  # dense (N, N, N, N), exactly 8-fold symmetric
     n_electrons: int | None = None
 
     def __post_init__(self):
@@ -133,9 +107,9 @@ class MolecularHamiltonian:
         g = _freeze(self.two_body)
         if h.shape != (n, n):
             raise InputError(f"one-body tensor shape {h.shape}, expected ({n}, {n})")
-        if g.shape != (n_packed(n),):
+        if g.shape != (n, n, n, n):
             raise InputError(
-                f"packed two-body length {g.shape}, expected ({n_packed(n)},)"
+                f"two-body tensor shape {g.shape}, expected {(n, n, n, n)}"
             )
         if not (np.isfinite(h).all() and np.isfinite(g).all()):
             raise InputError("Hamiltonian contains non-finite entries")
@@ -143,31 +117,36 @@ class MolecularHamiltonian:
             raise InputError("core constant is not finite")
         if n and np.max(np.abs(h - h.T)) > 1e-12:
             raise InputError("one-body tensor is not symmetric to 1e-12")
+        # (pq|rs) = (qp|rs) and (pq|rs) = (rs|pq) generate all eight images
+        if not ((g == g.transpose(1, 0, 2, 3)).all()
+                and (g == g.transpose(2, 3, 0, 1)).all()):
+            raise InputError(
+                "two-body tensor is not exactly 8-fold symmetric (use from_dense)"
+            )
         object.__setattr__(self, "one_body", h)
         object.__setattr__(self, "two_body", g)
         object.__setattr__(self, "core_constant", float(self.core_constant))
 
     @classmethod
-    def from_dense(cls, core_constant, one_body, two_body_dense,
-                   n_electrons=None, sym_tol: float = 1e-8):
-        """Build from a dense N^4 two-body tensor (symmetry-checked)."""
+    def from_dense(cls, core_constant, one_body, two_body_dense, n_electrons=None):
+        """Build from a dense N^4 two-body tensor symmetric to SYMMETRY_TOL."""
         one_body = np.asarray(one_body, dtype=float)
         n = one_body.shape[0]
         return cls(
             n_orbitals=n,
             core_constant=float(core_constant),
             one_body=one_body,
-            two_body=pack_two_body(np.asarray(two_body_dense, dtype=float), sym_tol),
+            two_body=symmetrize_two_body(two_body_dense),
             n_electrons=n_electrons,
         )
 
     def g(self, p: int, q: int, r: int, s: int) -> float:
-        """Dense accessor g_pqrs resolving the packed symmetry."""
-        return float(self.two_body[packed_index(p, q, r, s)])
+        """Two-electron integral (pq|rs)."""
+        return float(self.two_body[p, q, r, s])
 
     def two_body_dense(self) -> np.ndarray:
-        """Unpack to the full N^4 tensor (symmetric exactly, by gather)."""
-        return self.two_body[_unpack_map(self.n_orbitals)]
+        """The full read-only N^4 tensor (no copy)."""
+        return self.two_body
 
     def replace(self, **kw) -> "MolecularHamiltonian":
         fields = dict(

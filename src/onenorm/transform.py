@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InputError, NumericalError
-from .integrals import ActiveSpaceSpec, MolecularHamiltonian, pack_two_body
+from .integrals import ActiveSpaceSpec, MolecularHamiltonian, symmetrize_two_body
 
 __all__ = [
     "OrbitalRotation",
@@ -112,14 +112,11 @@ def transform_one_body(h: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return coeff.T @ h @ coeff
 
 
-def transform_two_body(
-    g: np.ndarray, coeff: np.ndarray, sym_tol: float = 1e-8
-) -> np.ndarray:
+def transform_two_body(g: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Four-index transform by staged quarter contractions (O(N^5)).
 
-    The result is symmetry-checked to ``sym_tol`` and returned as a dense
-    tensor rebuilt from its canonical packed entries, so the eight
-    permutational images are exactly equal.
+    The result is symmetry-checked and returned with every permutational
+    image set to its canonical entry, so the eight images are exactly equal.
     """
     g = np.asarray(g, dtype=float)
     coeff = np.asarray(coeff, dtype=float)
@@ -133,12 +130,9 @@ def transform_two_body(
     out = np.einsum("pqcd,cr->pqrd", out, coeff, optimize=True)
     out = np.einsum("pqrd,ds->pqrs", out, coeff, optimize=True)
     try:
-        packed = pack_two_body(out, tol=sym_tol)
+        return symmetrize_two_body(out)
     except InputError as exc:
         raise InputError(f"transformed tensor lost its symmetry: {exc}") from exc
-    from .integrals import _unpack_map  # shared gather cache
-
-    return packed[_unpack_map(out.shape[0])]
 
 
 def rotate_hamiltonian(
@@ -150,10 +144,11 @@ def rotate_hamiltonian(
             f"rotation dimension {rotation.dim} != {ham.n_orbitals} orbitals"
         )
     u = rotation.matrix
-    return MolecularHamiltonian.from_dense(
+    return MolecularHamiltonian(
+        n_orbitals=ham.n_orbitals,
         core_constant=ham.core_constant,
         one_body=transform_one_body(ham.one_body, u),
-        two_body_dense=transform_two_body(ham.two_body_dense(), u),
+        two_body=transform_two_body(ham.two_body_dense(), u),
         n_electrons=ham.n_electrons,
     )
 
@@ -236,7 +231,6 @@ def freeze_core(
         one_body=h_active,
         two_body_dense=g_active,
         n_electrons=space.n_active_electrons,
-        sym_tol=0.0,
     )
     return active_ham, shift
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from onenorm import AuxiliaryIntegrals, MolecularHamiltonian
-from onenorm.integrals import n_packed
+from onenorm.integrals import fill_from_canonical
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -32,14 +32,24 @@ requires_fixtures = pytest.mark.skipif(
 
 
 def random_hamiltonian(n, rng, core=None, scale=1.0):
-    """8-fold-symmetric instance; symmetry exact by packed construction."""
+    """8-fold-symmetric instance: one draw per canonical tuple, then filled."""
     h = rng.standard_normal((n, n)) * scale
     h = 0.5 * (h + h.T)
-    g = rng.standard_normal(n_packed(n)) * scale
+    # canonical tuples (p>=q, r>=s, pair(pq)>=pair(rs)) in lexicographic order
+    slots = [
+        (p, q, r, s)
+        for p in range(n) for q in range(p + 1)
+        for r in range(p + 1) for s in range(r + 1)
+        if r * (r + 1) // 2 + s <= p * (p + 1) // 2 + q
+    ]
+    g = np.zeros((n,) * 4)
+    g[tuple(np.array(slots, dtype=int).reshape(-1, 4).T)] = (
+        rng.standard_normal(len(slots)) * scale
+    )
     if core is None:
         core = float(rng.standard_normal())
     return MolecularHamiltonian(
-        n_orbitals=n, core_constant=core, one_body=h, two_body=g
+        n_orbitals=n, core_constant=core, one_body=h, two_body=fill_from_canonical(g)
     )
 
 
@@ -53,7 +63,7 @@ def random_psd_hamiltonian(n, rng, rank=None, core=0.0):
         g += np.einsum("pq,rs->pqrs", vec, vec)
     h = rng.standard_normal((n, n))
     h = 0.5 * (h + h.T)
-    return MolecularHamiltonian.from_dense(core, h, g, sym_tol=1e-9)
+    return MolecularHamiltonian.from_dense(core, h, g)
 
 
 def random_orthogonal(n, rng):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import onenorm as on
-from onenorm.integrals import n_packed
 
 from conftest import (
     CHAIN_SIZES,

@@ -2,56 +2,65 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from onenorm import ActiveSpaceSpec, AuxiliaryIntegrals, MolecularHamiltonian, class_decomposition
+from onenorm import (
+    ActiveSpaceSpec,
+    AuxiliaryIntegrals,
+    MolecularHamiltonian,
+    class_decomposition,
+    freeze_core,
+    parse_fcidump,
+    rotate_hamiltonian,
+    write_fcidump,
+)
 from onenorm.errors import InputError
-from onenorm.integrals import CLASS_NAMES, n_packed, pack_two_body, packed_index, pair_index
+from onenorm.integrals import CLASS_NAMES, pair_index
 
-from conftest import random_hamiltonian
-
-
-@given(st.integers(1, 8), st.data())
-@settings(max_examples=60, deadline=None)
-def test_packed_index_bijection_on_canonical_tuples(n, data):
-    p = data.draw(st.integers(0, n - 1))
-    q = data.draw(st.integers(0, p))
-    r = data.draw(st.integers(0, p))
-    s = data.draw(st.integers(0, r))
-    idx = packed_index(p, q, r, s)
-    assert 0 <= idx < n_packed(n)
-    # all eight images resolve to the same slot
-    for a, b in ((p, q), (q, p)):
-        for c, d in ((r, s), (s, r)):
-            assert packed_index(a, b, c, d) == idx
-            assert packed_index(c, d, a, b) == idx
+from conftest import random_hamiltonian, random_orthogonal
 
 
-def test_packed_layout_is_dense_bijection():
-    n = 4
-    seen = set()
-    for p in range(n):
-        for q in range(p + 1):
-            for r in range(p + 1):
-                for s in range(r + 1):
-                    if pair_index(r, s) > pair_index(p, q):
-                        continue
-                    seen.add(int(packed_index(p, q, r, s)))
-    assert seen == set(range(n_packed(n)))
+def _from_dense_roundoff(rng):
+    source = random_hamiltonian(4, rng).two_body_dense()
+    noisy = source + 1e-12 * rng.standard_normal(source.shape)
+    return MolecularHamiltonian.from_dense(0.0, np.zeros((4, 4)), noisy), noisy
+
+
+def _parsed(rng):
+    ham = random_hamiltonian(4, rng)
+    return parse_fcidump(write_fcidump(ham)), ham.two_body_dense()
+
+
+def _rotated(rng):
+    ham = random_hamiltonian(4, rng)
+    return rotate_hamiltonian(ham, random_orthogonal(4, rng)), None
+
+
+def _frozen(rng):
+    ham = random_hamiltonian(5, rng)
+    space = ActiveSpaceSpec(frozen=(0,), active=(1, 2, 3, 4), n_active_electrons=2)
+    return freeze_core(ham, space)[0], None
+
+
+def _canonical(p, q, r, s):
+    p, q, r, s = max(p, q), min(p, q), max(r, s), min(r, s)
+    return (p, q, r, s) if pair_index(p, q) >= pair_index(r, s) else (r, s, p, q)
 
 
 def test_accessor_resolves_all_eight_images(rng):
-    ham = random_hamiltonian(4, rng)
-    g = ham.two_body_dense()
-    for p, q, r, s in itertools.product(range(4), repeat=4):
-        value = ham.g(p, q, r, s)
-        images = [
-            (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-            (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-        ]
-        for image in images:
-            assert g[image] == value  # exact, shared storage
+    # one input per construction path
+    for build in (_from_dense_roundoff, _parsed, _rotated, _frozen):
+        ham, source = build(rng)
+        g = ham.two_body_dense()
+        for p, q, r, s in itertools.product(range(4), repeat=4):
+            value = ham.g(p, q, r, s)
+            if source is not None:  # the canonical entry of the input wins
+                assert value == source[_canonical(p, q, r, s)], build.__name__
+            images = [
+                (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
+            ]
+            for image in images:
+                assert g[image] == value, build.__name__  # exact, bit for bit
 
 
 def test_from_dense_rejects_asymmetric():
@@ -64,7 +73,7 @@ def test_from_dense_rejects_asymmetric():
 def test_from_dense_accepts_symmetric(rng):
     ham = random_hamiltonian(3, rng)
     rebuilt = MolecularHamiltonian.from_dense(
-        ham.core_constant, ham.one_body, ham.two_body_dense(), sym_tol=0.0
+        ham.core_constant, ham.one_body, ham.two_body_dense()
     )
     assert rebuilt.allclose(ham)
 
@@ -75,21 +84,31 @@ def test_hamiltonian_validation_errors():
             n_orbitals=2,
             core_constant=0.0,
             one_body=np.array([[0.0, 1.0], [0.0, 0.0]]),
-            two_body=np.zeros(n_packed(2)),
+            two_body=np.zeros((2,) * 4),
         )
     with pytest.raises(InputError, match="finite"):
         MolecularHamiltonian(
             n_orbitals=1,
             core_constant=0.0,
             one_body=np.array([[np.nan]]),
-            two_body=np.zeros(1),
+            two_body=np.zeros((1, 1, 1, 1)),
         )
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="shape"):
         MolecularHamiltonian(
             n_orbitals=2,
             core_constant=0.0,
             one_body=np.zeros((2, 2)),
-            two_body=np.zeros(5),  # wrong packed length
+            two_body=np.zeros((2, 2, 2)),
+        )
+    roundoff = np.zeros((2,) * 4)
+    roundoff[1, 0, 0, 0] = roundoff[0, 1, 0, 0] = roundoff[0, 0, 1, 0] = 0.5
+    roundoff[0, 0, 0, 1] = np.nextafter(0.5, 1.0)  # within from_dense's tolerance
+    with pytest.raises(InputError, match="exactly"):
+        MolecularHamiltonian(
+            n_orbitals=2,
+            core_constant=0.0,
+            one_body=np.zeros((2, 2)),
+            two_body=roundoff,
         )
 
 
@@ -99,12 +118,6 @@ def test_arrays_are_immutable(rng):
         ham.one_body[0, 0] = 1.0
     with pytest.raises(ValueError):
         ham.two_body[0] = 1.0
-
-
-def test_pack_two_body_roundtrip_exact(rng):
-    ham = random_hamiltonian(5, rng)
-    dense = ham.two_body_dense()
-    assert np.array_equal(pack_two_body(dense, tol=0.0), ham.two_body)
 
 
 def test_class_decomposition_single_orbital():

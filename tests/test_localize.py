@@ -17,7 +17,7 @@ from onenorm import (
     rotate_hamiltonian,
 )
 from onenorm.errors import ConvergenceWarning, InputError
-from onenorm.integrals import AuxiliaryIntegrals, n_packed
+from onenorm.integrals import AuxiliaryIntegrals
 
 from conftest import random_aux, random_hamiltonian, random_orthogonal
 
@@ -53,7 +53,7 @@ def test_cost_er_equals_class_sum(rng):
     g = ham.two_body_dense().copy()
     for p in range(3):
         g[p, p, p, p] = abs(g[p, p, p, p])
-    ham = MolecularHamiltonian.from_dense(0.0, ham.one_body, g, sym_tol=1e-8)
+    ham = MolecularHamiltonian.from_dense(0.0, ham.one_body, g)
     assert cost_er(ham) == pytest.approx(class_decomposition(ham)["pppp"], abs=1e-13)
 
 
@@ -111,7 +111,7 @@ def test_localize_stationary_returns_same_object(rng):
     # zero two-body tensor: the ER objective is flat, nothing to do
     ham = MolecularHamiltonian(
         n_orbitals=3, core_constant=0.0,
-        one_body=np.zeros((3, 3)), two_body=np.zeros(n_packed(3)),
+        one_body=np.zeros((3, 3)), two_body=np.zeros((3,) * 4),
     )
     result = localize(ham, None, None, LocalizationRequest(scheme="er"))
     assert result.hamiltonian is ham

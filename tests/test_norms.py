@@ -17,7 +17,6 @@ from onenorm import (
     rotate_hamiltonian,
 )
 from onenorm.errors import NotPositiveSemidefiniteError
-from onenorm.integrals import n_packed
 
 from conftest import (
     H2_FCIDUMP,
@@ -38,7 +37,7 @@ def zero_hamiltonian(n=3):
         n_orbitals=n,
         core_constant=0.0,
         one_body=np.zeros((n, n)),
-        two_body=np.zeros(n_packed(n)),
+        two_body=np.zeros((n,) * 4),
     )
 
 
@@ -66,7 +65,7 @@ def test_lambda_t_reduces_to_entrywise_norm_without_g(rng):
     h = rng.standard_normal((4, 4))
     h = 0.5 * (h + h.T)
     ham = MolecularHamiltonian(
-        n_orbitals=4, core_constant=0.0, one_body=h, two_body=np.zeros(n_packed(4))
+        n_orbitals=4, core_constant=0.0, one_body=h, two_body=np.zeros((4,) * 4)
     )
     assert lambda_t(ham) == pytest.approx(np.abs(h).sum(), abs=1e-12)
 

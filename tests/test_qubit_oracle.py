@@ -16,7 +16,6 @@ from onenorm import (
     sparsity_count,
 )
 from onenorm.errors import InputError
-from onenorm.integrals import n_packed
 from onenorm.qubit_oracle import multiply_words, string_to_word, word_to_string
 
 from conftest import random_hamiltonian
@@ -66,7 +65,7 @@ def test_word_multiplication_associative(rng):
 
 def test_jw_single_orbital_quadratic_terms():
     ham = MolecularHamiltonian(
-        n_orbitals=1, core_constant=0.0, one_body=np.array([[1.0]]), two_body=np.zeros(1)
+        n_orbitals=1, core_constant=0.0, one_body=np.array([[1.0]]), two_body=np.zeros((1, 1, 1, 1))
     )
     terms = jordan_wigner_expand(ham).terms
     assert terms == pytest.approx({"II": 1.0, "ZI": -0.5, "IZ": -0.5})
@@ -74,14 +73,14 @@ def test_jw_single_orbital_quadratic_terms():
 
 def test_jw_zero_hamiltonian_is_empty():
     ham = MolecularHamiltonian(
-        n_orbitals=2, core_constant=0.0, one_body=np.zeros((2, 2)), two_body=np.zeros(n_packed(2))
+        n_orbitals=2, core_constant=0.0, one_body=np.zeros((2, 2)), two_body=np.zeros((2,) * 4)
     )
     assert jordan_wigner_expand(ham).terms == {}
 
 
 def test_jw_guard_rail():
     ham = MolecularHamiltonian(
-        n_orbitals=9, core_constant=0.0, one_body=np.zeros((9, 9)), two_body=np.zeros(n_packed(9))
+        n_orbitals=9, core_constant=0.0, one_body=np.zeros((9, 9)), two_body=np.zeros((9,) * 4)
     )
     with pytest.raises(InputError, match="guard"):
         jordan_wigner_expand(ham)
@@ -89,7 +88,7 @@ def test_jw_guard_rail():
 
 def test_lambda_q_oracle_single_orbital():
     ham = MolecularHamiltonian(
-        n_orbitals=1, core_constant=0.0, one_body=np.array([[1.0]]), two_body=np.zeros(1)
+        n_orbitals=1, core_constant=0.0, one_body=np.array([[1.0]]), two_body=np.zeros((1, 1, 1, 1))
     )
     term_sum = jordan_wigner_expand(ham)
     assert lambda_q_oracle(term_sum) == pytest.approx(1.0, abs=1e-15)
@@ -189,7 +188,7 @@ def test_determinant_expectation_examples():
     # vacuum with zero core
     ham = MolecularHamiltonian(
         n_orbitals=1, core_constant=0.0, one_body=np.array([[1.0]]),
-        two_body=np.array([0.4]),
+        two_body=np.full((1, 1, 1, 1), 0.4),
     )
     term_sum = jordan_wigner_expand(ham)
     assert determinant_expectation(term_sum, [0, 0]) == pytest.approx(0.0, abs=1e-14)
@@ -218,6 +217,6 @@ def test_determinant_expectation_validation():
 
 def test_sparsity_zero_hamiltonian():
     ham = MolecularHamiltonian(
-        n_orbitals=1, core_constant=0.0, one_body=np.zeros((1, 1)), two_body=np.zeros(1)
+        n_orbitals=1, core_constant=0.0, one_body=np.zeros((1, 1)), two_body=np.zeros((1, 1, 1, 1))
     )
     assert sparsity_count(jordan_wigner_expand(ham)) == 0

@@ -20,7 +20,6 @@ from onenorm import (
     transform_two_body,
 )
 from onenorm.errors import InputError, NumericalError
-from onenorm.integrals import n_packed
 from onenorm.transform import givens_rotation
 
 from conftest import chain_path, random_hamiltonian, random_orthogonal, requires_fixtures
@@ -245,7 +244,7 @@ def test_freeze_core_noop():
 def test_freeze_core_one_body_only():
     h = np.diag([0.7, 0.1])
     ham = MolecularHamiltonian(
-        n_orbitals=2, core_constant=0.5, one_body=h, two_body=np.zeros(n_packed(2))
+        n_orbitals=2, core_constant=0.5, one_body=h, two_body=np.zeros((2,) * 4)
     )
     spec = ActiveSpaceSpec(frozen=(0,), active=(1,), n_active_electrons=0)
     active, shift = freeze_core(ham, spec)
