@@ -71,8 +71,8 @@ def main():
             warnings.simplefilter("ignore")
             opt = minimize_norm(ham, config, aux=aux, coeff=coeff)
         entries.append(("optimizer", norm_report(opt.hamiltonian)))
-        print(f"optimizer: converged={opt.converged} calls={opt.n_objective_calls}",
-              file=sys.stderr)
+        print(f"optimizer: converged={opt.converged} calls={opt.n_objective_calls} "
+              f"gradients={opt.n_gradient_calls}", file=sys.stderr)
 
     rows = aggregate_report(entries, baseline="cmo")
     print(report_rows_to_json(rows, indent=2))

@@ -252,8 +252,6 @@ def _cmd_optimize(args):
     start = args.start if args.start == "current" else f"localized:{args.start}"
     config = OptimizerConfig(
         window=_parse_indices(args.window),
-        fd_step=args.fd_step,
-        gradient_scheme=args.grad,
         max_iterations=args.max_iter,
         convergence_tol=args.tol,
         algorithm=args.algorithm,
@@ -284,6 +282,7 @@ def _cmd_optimize(args):
             "converged": result.converged,
             "iterations": len(result.trace),
             "n_objective_calls": result.n_objective_calls,
+            "n_gradient_calls": result.n_gradient_calls,
             "lambda_initial": result.lambda_initial,
             "lambda_start": result.lambda_start,
             "lambda_final": result.lambda_final,
@@ -421,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="starting basis (default: ER-localized)")
     p.add_argument("--window", default=None)
     p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--fd-step", type=float, default=1e-5)
-    p.add_argument("--grad", default="central", choices=["central", "forward"])
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--algorithm", default="quasi-newton-bounded",
                    choices=sorted(set(OPTIMIZER_ALGORITHMS)))

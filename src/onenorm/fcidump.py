@@ -161,9 +161,9 @@ def write_fcidump(ham: MolecularHamiltonian, stream: IO[str] | None = None) -> s
     index order.  Values use repr precision, so parse(write(H)) reproduces
     bitwise every two-body entry, the lower triangle of h and the core
     constant; entries of magnitude 1e-12 or less read back as zero.  The
-    upper triangle of h is rebuilt from the lower one, so it round-trips
-    only where h is exactly symmetric (a rotated h can differ from its
-    transpose in the last bit).
+    upper triangle of h is rebuilt from the lower one, so all of h
+    round-trips when h is exactly symmetric, as ``parse_fcidump``,
+    ``rotate_hamiltonian`` and ``freeze_core`` make it.
     """
     n = ham.n_orbitals
     nelec = ham.n_electrons if ham.n_electrons is not None else 0

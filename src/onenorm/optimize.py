@@ -1,19 +1,21 @@
 """Direct minimization of lambda_Q over exp(-K) orbital rotations.
 
-The objective is piecewise smooth (absolute values everywhere), so
-gradients are approximated by finite differences and fed to bounded
-quasi-Newton (L-BFGS-B) or sequential-quadratic (SLSQP) minimization,
-with fresh-Hessian restarts from the best point when a round stalls.
-The best evaluated point is tracked independently of the solver, so the
-returned basis never has a higher 1-norm than the starting one.
+The objective is piecewise smooth (absolute values everywhere).  Its
+exact subgradient, taken through the adjoint Frechet derivative of expm,
+is fed to bounded quasi-Newton (L-BFGS-B) or sequential-quadratic (SLSQP)
+minimization, with fresh-Hessian restarts from the best point when a
+round stalls.  The best evaluated point is tracked independently of the
+solver, so the returned basis never has a higher 1-norm than the
+starting one.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm_frechet
 from scipy.optimize import minimize as scipy_minimize
 
 from .errors import ConvergenceWarning, InputError, NumericalError
@@ -41,8 +43,6 @@ _ALGORITHMS = {
 @dataclass(frozen=True)
 class OptimizerConfig:
     window: tuple[int, ...] | None = None
-    fd_step: float = 1e-5
-    gradient_scheme: str = "central"
     max_iterations: int = 200
     convergence_tol: float = 1e-8
     algorithm: str = "quasi-newton-bounded"
@@ -52,10 +52,6 @@ class OptimizerConfig:
     localization_method: str = "jacobi"
 
     def __post_init__(self):
-        if not (1e-10 < self.fd_step < 1e-2):
-            raise InputError("fd_step must lie in (1e-10, 1e-2)")
-        if self.gradient_scheme not in ("central", "forward"):
-            raise InputError("gradient_scheme must be 'central' or 'forward'")
         if self.algorithm.lower() not in _ALGORITHMS:
             raise InputError(
                 f"algorithm must be one of {sorted(set(_ALGORITHMS))}, got {self.algorithm!r}"
@@ -101,6 +97,7 @@ class OptimizationResult:
     lambda_start: float
     lambda_final: float
     n_objective_calls: int
+    n_gradient_calls: int
     start_scheme: str | None = None
 
     @property
@@ -121,7 +118,7 @@ def _window_rotation(n, window, kvec) -> OrbitalRotation:
         )
     if not np.isfinite(kvec).all():
         raise NumericalError("non-finite rotation parameters")
-    if w == 0 or not kvec.size or not np.any(kvec):
+    if not np.any(kvec):
         return OrbitalRotation.identity(n)
     block = exp_generator(AntisymmetricGenerator(dim=w, params=kvec)).matrix
     full = np.eye(n)
@@ -129,55 +126,88 @@ def _window_rotation(n, window, kvec) -> OrbitalRotation:
     return OrbitalRotation(full)
 
 
-def objective(ham_ref: MolecularHamiltonian, kvec, window=None) -> float:
-    """lambda_Q (identity excluded) after rotating by exp(-K(kvec))."""
+def objective(ham_ref: MolecularHamiltonian, kvec, window=None, full_output=False):
+    """lambda_Q (identity excluded) after rotating by exp(-K(kvec)).
+
+    ``full_output`` returns ``(value, rotation, rotated Hamiltonian)``.
+    """
     window = tuple(window) if window is not None else tuple(range(ham_ref.n_orbitals))
     rotation = _window_rotation(ham_ref.n_orbitals, window, kvec)
-    value = lambda_q(rotate_hamiltonian(ham_ref, rotation))
+    rotated = rotate_hamiltonian(ham_ref, rotation)
+    value = lambda_q(rotated)
     if not np.isfinite(value):
         raise NumericalError("objective evaluated to a non-finite value")
-    return value
+    return (value, rotation, rotated) if full_output else value
+
+
+def _gradient(ham_ref: MolecularHamiltonian, kvec, window, rotated=None) -> np.ndarray:
+    """Exact subgradient of ``objective`` with respect to ``kvec``, O(N^5).
+
+    lambda_Q depends on the rotated integrals through t' = U^T t U (the
+    lambda_T matrix) and g', with partials sign(t') and
+    C = 1/4 sign(g') + 1/2 (B - B_psrq), B = [p>r, s>q] sign(g' - g'_psrq).
+    So dlambda/dU = U F, F = t' sign(t')^T + t'^T sign(t') + (g' contracted
+    with C over each of its four slots), and dlambda/dK = -L(K, dlambda/dU)
+    on the window, L being the Frechet derivative of expm (U = exp(-K)).
+    Uses sign(0) = 0: at an exact zero of an |.| argument this is one valid
+    subgradient, and finite differences there can differ.  ``rotated`` is
+    the ``(rotation, Hamiltonian)`` at ``kvec`` if the caller has it.
+    """
+    window = list(window)
+    if rotated is None:
+        _, *rotated = objective(ham_ref, kvec, window, full_output=True)
+    rotation, ham = rotated
+    n = ham.n_orbitals
+    g = ham.two_body_dense()
+    t = ham.one_body + np.einsum("pqrr->pq", g) - 0.5 * np.einsum("prrq->pq", g)
+    sign_t = np.sign(t)
+    p, q, r, s = np.ogrid[0:n, 0:n, 0:n, 0:n]
+    b = np.where((p > r) & (s > q), np.sign(g - g.transpose(0, 3, 2, 1)), 0.0)
+    c = 0.25 * np.sign(g) + 0.5 * (b - b.transpose(0, 3, 2, 1))
+    # g' is exactly 8-fold symmetric, so each slot's contraction is the
+    # first slot's against a transposed C
+    c = c + c.transpose(1, 0, 2, 3) + c.transpose(2, 3, 0, 1) + c.transpose(3, 2, 1, 0)
+    f = t @ sign_t.T + t.T @ sign_t + np.tensordot(g, c, axes=([1, 2, 3], [1, 2, 3]))
+    du = (rotation.matrix @ f)[np.ix_(window, window)]
+    k = AntisymmetricGenerator(dim=len(window), params=kvec).matrix()
+    dk = -expm_frechet(k, du, compute_expm=False)
+    rows, cols = np.triu_indices(len(window), k=1)
+    return dk[rows, cols] - dk[cols, rows]
 
 
 class _TrackedObjective:
-    """Objective wrapper: call counting, best-point tracking, memo for traces."""
+    """Objective and gradient for scipy: call counts, the best point, and
+    the last point's rotation, which a gradient at that point reuses."""
 
     def __init__(self, ham_ref, window):
         self.ham_ref = ham_ref
         self.window = window
         self.calls = 0
+        self.gradient_calls = 0
         self.best_value = np.inf
         self.best_x = None
-        self._memo: dict[bytes, float] = {}
+        self.grad_inf_norm = np.nan
+        self._x = None
+        self._value = None
+        self._rotated = None  # (rotation, hamiltonian) at self._x
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        value = objective(self.ham_ref, x, self.window)
-        self.calls += 1
-        self._memo[key] = value
-        if value < self.best_value:
-            self.best_value = value
-            self.best_x = x.copy()
-        return value
+        if self._x is None or not np.array_equal(x, self._x):
+            value, *rotated = objective(self.ham_ref, x, self.window, full_output=True)
+            self.calls += 1
+            self._x, self._value, self._rotated = x.copy(), value, rotated
+            if value < self.best_value:
+                self.best_value = value
+                self.best_x = self._x
+        return self._value
 
-
-def _fd_gradient(fun, x, step, scheme):
-    grad = np.empty_like(x)
-    f0 = fun(x) if scheme == "forward" else None
-    for k in range(x.size):
-        forward = x.copy()
-        forward[k] += step
-        if scheme == "central":
-            backward = x.copy()
-            backward[k] -= step
-            grad[k] = (fun(forward) - fun(backward)) / (2.0 * step)
-        else:
-            grad[k] = (fun(forward) - f0) / step
-    return grad
+    def gradient(self, x):
+        self(x)
+        grad = _gradient(self.ham_ref, self._x, self.window, self._rotated)
+        self.gradient_calls += 1
+        self.grad_inf_norm = float(np.max(np.abs(grad), initial=0.0))
+        return grad
 
 
 def minimize_norm(
@@ -219,24 +249,12 @@ def minimize_norm(
     lambda_start = tracked(np.zeros(n_params))
 
     trace: list[IterationRecord] = []
-    last_grad = {"value": np.nan}
-
-    def jac(x):
-        grad = _fd_gradient(tracked, np.asarray(x, dtype=float),
-                            config.fd_step, config.gradient_scheme)
-        last_grad["value"] = float(np.max(np.abs(grad))) if grad.size else 0.0
-        return grad
 
     def callback(xk, *_args):
-        value = tracked(np.asarray(xk, dtype=float))
-        trace.append(
-            IterationRecord(
-                iteration=len(trace),
-                lambda_value=value,
-                grad_inf_norm=last_grad["value"],
-                best_so_far=tracked.best_value,
-            )
-        )
+        value = tracked(xk)
+        trace.append(IterationRecord(iteration=len(trace), lambda_value=value,
+                                     grad_inf_norm=tracked.grad_inf_norm,
+                                     best_so_far=tracked.best_value))
 
     converged = n_params == 0
     if n_params:
@@ -246,7 +264,7 @@ def minimize_norm(
             result = scipy_minimize(
                 tracked,
                 x_current,
-                jac=jac,
+                jac=tracked.gradient,
                 method=config.scipy_method,
                 callback=callback,
                 options={
@@ -267,9 +285,7 @@ def minimize_norm(
                 stacklevel=2,
             )
 
-    best_x = tracked.best_x if tracked.best_x is not None else np.zeros(n_params)
-    opt_rotation = _window_rotation(n, window, best_x)
-    total_rotation = pre_rotation.then(opt_rotation)
+    total_rotation = pre_rotation.then(_window_rotation(n, window, tracked.best_x))
     if np.array_equal(total_rotation.matrix, np.eye(n)):
         final_ham = ham
     else:
@@ -283,5 +299,6 @@ def minimize_norm(
         lambda_start=lambda_start,
         lambda_final=tracked.best_value,
         n_objective_calls=tracked.calls,
+        n_gradient_calls=tracked.gradient_calls,
         start_scheme=scheme,
     )

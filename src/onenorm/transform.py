@@ -138,16 +138,20 @@ def transform_two_body(g: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 def rotate_hamiltonian(
     ham: MolecularHamiltonian, rotation: OrbitalRotation
 ) -> MolecularHamiltonian:
-    """New Hamiltonian in the rotated basis; core constant unchanged."""
+    """New Hamiltonian in the rotated basis; core constant unchanged.
+
+    h' is made exactly symmetric, so it survives an FCIDUMP round trip.
+    """
     if rotation.dim != ham.n_orbitals:
         raise InputError(
             f"rotation dimension {rotation.dim} != {ham.n_orbitals} orbitals"
         )
     u = rotation.matrix
+    h = transform_one_body(ham.one_body, u)
     return MolecularHamiltonian(
         n_orbitals=ham.n_orbitals,
         core_constant=ham.core_constant,
-        one_body=transform_one_body(ham.one_body, u),
+        one_body=0.5 * (h + h.T),
         two_body=transform_two_body(ham.two_body_dense(), u),
         n_electrons=ham.n_electrons,
     )

@@ -184,6 +184,7 @@ def test_optimize_subcommand(capsys, tmp_path, small_fcidump):
     assert code == 0
     payload = json.loads(out)
     assert payload["lambda_final"] <= payload["lambda_start"] + 1e-9
+    assert payload["n_gradient_calls"] >= 1
     assert trace_path.read_text().startswith("iteration,lambda_Q")
 
 
@@ -238,9 +239,11 @@ def test_report_bad_entry(capsys):
 
 def test_stdout_is_deterministic(capsys, small_fcidump):
     path, _ = small_fcidump
-    _, first, _ = invoke(capsys, "norm", path)
-    _, second, _ = invoke(capsys, "norm", path)
-    assert first == second
+    for argv in (("norm", path), ("optimize", path)):
+        code, first, _ = invoke(capsys, *argv)
+        _, second, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert first == second
 
 
 def test_pretty_output(capsys, small_fcidump):

@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onenorm import parse_auxiliary, parse_fcidump, write_auxiliary, write_fcidump
+from onenorm import (
+    parse_auxiliary,
+    parse_fcidump,
+    rotate_hamiltonian,
+    write_auxiliary,
+    write_fcidump,
+)
 from onenorm.errors import DataWarning, InputError
 from onenorm.fcidump import read_labeled_matrix, write_labeled_matrix
 
-from conftest import random_aux, random_hamiltonian
+from conftest import random_aux, random_hamiltonian, random_orthogonal
 
 
 def test_single_orbital_direct_read():
@@ -52,6 +58,16 @@ def test_roundtrip_bitwise(rng):
         assert back.core_constant == ham.core_constant
         assert np.array_equal(back.one_body, ham.one_body)
         assert np.array_equal(back.two_body, ham.two_body)
+
+
+def test_roundtrip_rotated_bitwise(rng):
+    # a rotated h is exactly symmetric, so its upper triangle survives too
+    for n in range(2, 8):
+        ham = rotate_hamiltonian(random_hamiltonian(n, rng), random_orthogonal(n, rng))
+        back = parse_fcidump(write_fcidump(ham))
+        assert np.array_equal(back.one_body, ham.one_body)
+        assert np.array_equal(back.two_body, ham.two_body)
+        assert back.core_constant == ham.core_constant
 
 
 @given(st.integers(1, 4), st.integers(0, 10_000))

@@ -17,10 +17,6 @@ from conftest import random_aux, random_hamiltonian
 
 
 def test_config_validation():
-    with pytest.raises(InputError, match="fd_step"):
-        OptimizerConfig(fd_step=1.0)
-    with pytest.raises(InputError, match="gradient_scheme"):
-        OptimizerConfig(gradient_scheme="spectral")
     with pytest.raises(InputError, match="algorithm"):
         OptimizerConfig(algorithm="adam")
     with pytest.raises(InputError, match="start_from"):
@@ -159,27 +155,43 @@ def test_empty_window_returns_identity(rng):
     assert result.converged
 
 
-def test_finite_difference_gradient_matches_stencil(rng):
-    # compare the optimizer's central difference against a 5-point stencil
-    # on a smooth instance (no |.| argument near zero)
-    from onenorm.optimize import _fd_gradient
+def test_gradient_matches_stencil(rng):
+    # the exact subgradient against a 5-point stencil of the objective at
+    # generic K != 0 points, where no |.| argument sits at a kink
+    from onenorm.optimize import _gradient
 
-    ham = random_hamiltonian(3, rng)
+    for n, window in ((3, None), (4, None), (6, None), (4, (1, 3)), (6, (0, 2, 3, 5))):
+        ham = random_hamiltonian(n, rng)
+        window = window or tuple(range(n))
+        m = len(window) * (len(window) - 1) // 2
+        x0 = 0.3 * rng.standard_normal(m)
+        grad = _gradient(ham, x0, window)
+        h = 1e-5
+        stencil = np.empty(m)
+        for k in range(m):
+            probes = []
+            for offset in (-2, -1, 1, 2):
+                x = x0.copy()
+                x[k] += offset * h
+                probes.append(objective(ham, x, window))
+            stencil[k] = (probes[0] - 8 * probes[1] + 8 * probes[2] - probes[3]) / (12 * h)
+        np.testing.assert_allclose(grad, stencil, rtol=0, atol=1e-7)
 
-    def fun(kvec):
-        return objective(ham, kvec)
 
-    x0 = 0.1 * rng.standard_normal(3)
-    grad = _fd_gradient(fun, x0, 1e-5, "central")
-    h = 1e-3
-    for k in range(3):
-        probes = []
-        for offset in (-2, -1, 1, 2):
-            x = x0.copy()
-            x[k] += offset * h
-            probes.append(fun(x))
-        stencil = (probes[0] - 8 * probes[1] + 8 * probes[2] - probes[3]) / (12 * h)
-        assert grad[k] == pytest.approx(stencil, rel=1e-4, abs=1e-8)
+def test_gradient_reuses_last_evaluation(rng):
+    from onenorm.optimize import _TrackedObjective, _gradient
+
+    ham = random_hamiltonian(4, rng)
+    tracked = _TrackedObjective(ham, tuple(range(4)))
+    x = 0.2 * rng.standard_normal(6)
+    assert tracked(x) == objective(ham, x)
+    grad = tracked.gradient(x)
+    assert (tracked.calls, tracked.gradient_calls) == (1, 1)
+    assert np.array_equal(grad, _gradient(ham, x, tuple(range(4))))
+    assert tracked.grad_inf_norm == np.max(np.abs(grad))
+    tracked.gradient(-x)
+    assert (tracked.calls, tracked.gradient_calls) == (2, 2)
+    assert tracked.best_value == min(objective(ham, x), objective(ham, -x))
 
 
 def test_trace_records_monotone_best(rng):
@@ -201,15 +213,8 @@ def test_bit_reproducible(rng):
     assert first.lambda_final == second.lambda_final
     assert np.array_equal(first.rotation.matrix, second.rotation.matrix)
     assert first.n_objective_calls == second.n_objective_calls
-
-
-def test_forward_gradient_scheme_runs(rng):
-    ham = random_hamiltonian(3, rng)
-    config = OptimizerConfig(
-        start_from="current", gradient_scheme="forward", max_iterations=30,
-    )
-    result = minimize_norm(ham, config)
-    assert result.lambda_final <= result.lambda_start + 1e-9
+    assert first.n_gradient_calls == second.n_gradient_calls > 0
+    assert [r.grad_inf_norm for r in first.trace] == [r.grad_inf_norm for r in second.trace]
 
 
 def test_reduction_percent(rng):
