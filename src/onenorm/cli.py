@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analysis, fcidump, norms, qubit_oracle
 from .errors import ConvergenceWarning, InputError, NumericalError
+from .localize import METHODS as LOCALIZE_METHODS
 from .localize import SCHEMES as LOCALIZE_SCHEMES
 from .localize import LocalizationRequest
 from .localize import localize as run_localize
@@ -218,6 +219,7 @@ def _cmd_localize(args):
         max_sweeps=args.max_sweeps,
         seed=args.seed,
         pm_weight=args.pm_weight,
+        method=args.method,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
@@ -235,6 +237,7 @@ def _cmd_localize(args):
         args,
         {
             "scheme": result.scheme,
+            "method": request.method,
             "converged": result.converged,
             "sweeps": result.sweeps,
             "objective_per_sweep": list(result.objective_per_sweep),
@@ -283,6 +286,8 @@ def _cmd_optimize(args):
             "iterations": len(result.trace),
             "n_objective_calls": result.n_objective_calls,
             "n_gradient_calls": result.n_gradient_calls,
+            "stop_reason": result.stop_reason,
+            "n_restarts": result.n_restarts,
             "lambda_initial": result.lambda_initial,
             "lambda_start": result.lambda_start,
             "lambda_final": result.lambda_final,
@@ -402,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="orbital localization")
     p.add_argument("input")
     p.add_argument("--scheme", required=True, choices=list(LOCALIZE_SCHEMES))
+    p.add_argument("--method", default="jacobi", choices=list(LOCALIZE_METHODS),
+                   help="maximizer for the MO schemes (default: jacobi)")
     p.add_argument("--aux", help="auxiliary labeled-matrix file")
     p.add_argument("--window", default=None, help="comma list of orbitals to mix")
     p.add_argument("--tol", type=float, default=1e-8)

@@ -32,6 +32,8 @@ CLASS_NAMES = ("pppp", "pqqq", "pqpq", "ppqq", "pqrq", "pprs", "pqrs")
 
 SYMMETRY_TOL = 1e-8
 
+BLOCK_ENTRIES = 1 << 16  # entries per block of a pass over an N^4 tensor
+
 
 def pair_index(p, q):
     """Composite index of the unordered pair {p, q}; works on arrays."""
@@ -41,12 +43,14 @@ def pair_index(p, q):
 
 
 def fill_from_canonical(g: np.ndarray) -> np.ndarray:
-    """Copy of an N^4 tensor with every symmetry image set to its canonical entry.
+    """Read-only N^4 tensor with every symmetry image set to its canonical entry.
 
     Only the canonical entries (p>=q, r>=s, pair(pq)>=pair(rs)) of ``g`` are
     read: the (pq|rs) matrix over pairs p>=q is gathered, its upper triangle
     is replaced by the transposed lower one, and the result is spread back
-    to every (p, q, r, s).  Values are copied, never combined.
+    to every (p, q, r, s).  Values are copied, never combined.  No
+    writeable array shares the result's data, so ``MolecularHamiltonian``
+    stores it without a copy.
     """
     n = g.shape[0]
     p, q = np.indices((n, n)).reshape(2, -1)
@@ -54,14 +58,27 @@ def fill_from_canonical(g: np.ndarray) -> np.ndarray:
     pairs = np.take(np.take(g.reshape(n * n, n * n), rows, axis=0), rows, axis=1)
     pairs = np.where(np.tri(rows.size, dtype=bool), pairs, pairs.T)
     spread = pair_index(p, q)
-    return np.take(np.take(pairs, spread, axis=0), spread, axis=1).reshape(n, n, n, n)
+    out = np.take(np.take(pairs, spread, axis=0), spread, axis=1)
+    out.setflags(write=False)
+    return out.reshape(n, n, n, n)
+
+
+def row_blocks(n_rows: int, row_size: int) -> list[slice]:
+    """Slices over the leading axis, each of about BLOCK_ENTRIES entries.
+
+    Passes over an N^4 tensor go block by block, so their temporaries stay
+    a fraction of the tensor; a small tensor is a single block.
+    """
+    step = max(1, BLOCK_ENTRIES // max(1, row_size))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
     """Canonical fill of a dense N^4 tensor, checking its 8-fold symmetry.
 
     Raises InputError if the tensor is not N^4, holds non-finite entries, or
-    differs from its fill by more than SYMMETRY_TOL anywhere.
+    differs from its fill by more than SYMMETRY_TOL anywhere.  The fill is
+    read-only (see ``fill_from_canonical``).
     """
     dense = np.asarray(dense, dtype=float)
     n = dense.shape[0]
@@ -70,7 +87,10 @@ def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
     if not np.isfinite(dense).all():
         raise InputError("two-body tensor contains non-finite entries")
     filled = fill_from_canonical(dense)
-    err = float(np.max(np.abs(dense - filled), initial=0.0))
+    err = max(
+        (float(np.max(np.abs(dense[b] - filled[b]))) for b in row_blocks(n, n**3)),
+        default=0.0,
+    )
     if err > SYMMETRY_TOL:
         raise InputError(
             f"two-body tensor violates permutational symmetry by {err:.3e} "
@@ -80,6 +100,13 @@ def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Read-only C-ordered float64 array: ``arr`` itself when no writeable
+    array shares its data, otherwise a copy."""
+    owner = arr
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is None and arr.dtype == np.float64 and arr.flags.c_contiguous:
+        return arr
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
     return out
@@ -90,7 +117,8 @@ class MolecularHamiltonian:
     """Spin-free electronic Hamiltonian: core constant, h_pq, dense g_pqrs.
 
     All energies in Hartree.  Instances are immutable; the arrays are
-    flagged read-only so they can be shared freely.  The constructor
+    flagged read-only so they can be shared freely.  A writeable input is
+    copied; a read-only float64 one is stored as it is.  The constructor
     accepts only an exactly 8-fold-symmetric two-body tensor; build from
     a tensor that is symmetric to round-off with ``from_dense``.
     """
@@ -327,6 +355,18 @@ class ActiveSpaceSpec:
             raise InputError("negative active electron count")
 
 
+# Diagonal views of the six classes with a repeated index, as einsum
+# subscripts; each view is read where its free indices are pairwise distinct.
+_CLASS_VIEWS = {
+    "pppp": ("pppp->p",),
+    "pqqq": ("pqqq->pq", "qpqq->pq", "qqpq->pq", "qqqp->pq"),
+    "pqpq": ("pqpq->pq", "pqqp->pq"),
+    "ppqq": ("ppqq->pq",),
+    "pqrq": ("pqps->pqs", "pqrp->pqr", "pqqs->pqs", "pqrq->pqr"),
+    "pprs": ("pprs->prs", "pqrr->pqr"),
+}
+
+
 def class_decomposition(ham: MolecularHamiltonian) -> dict[str, float]:
     """Split sum(|g_pqrs|) over the full tensor into seven index classes.
 
@@ -342,37 +382,36 @@ def class_decomposition(ham: MolecularHamiltonian) -> dict[str, float]:
       pqrs  all four distinct
 
     The seven sums add up to the unrestricted sum over all N^4 entries.
+    The first six are read from O(N^3) diagonal views; pqrs goes one
+    p-slab at a time, so the extra memory is O(N^3).
     """
     n = ham.n_orbitals
-    g = np.abs(ham.two_body_dense())
-    p, q, r, s = np.ogrid[0:n, 0:n, 0:n, 0:n]
-    pq, rs = p == q, r == s
-    pr, ps = p == r, p == s
-    qr, qs = q == r, q == s
-
-    all_equal = pq & pr & ps
-    n_pairs_eq = (
-        pq.astype(int) + pr.astype(int) + ps.astype(int)
-        + qr.astype(int) + qs.astype(int) + rs.astype(int)
-    )
-    masks = {
-        "pppp": all_equal,
-        # exactly one triple: three indices equal, 3 coincident pairs
-        "pqqq": (n_pairs_eq == 3) & ~all_equal,
-        "pqpq": (pr & qs) | (ps & qr),
-        "ppqq": pq & rs & ~all_equal,
-        # one straddling repeat, other two indices distinct from everything
-        "pqrq": (n_pairs_eq == 1) & (pr | ps | qr | qs),
-        "pprs": (n_pairs_eq == 1) & (pq | rs),
-        "pqrs": n_pairs_eq == 0,
+    g = ham.two_body_dense()
+    i = np.arange(n)
+    distinct = {  # masks of pairwise-distinct indices, by count
+        1: np.ones(n, dtype=bool),
+        2: i[:, None] != i,
+        3: (i[:, None, None] != i[:, None]) & (i[:, None, None] != i)
+        & (i[:, None] != i),
     }
-    masks["pqpq"] &= ~all_equal
-    out = {}
-    total_mask = np.zeros(g.shape, dtype=int)
-    for name in CLASS_NAMES:
-        m = np.broadcast_to(masks[name], g.shape)
-        total_mask += m
-        out[name] = float(np.sum(g[m], dtype=np.longdouble))
-    # every tuple must fall in exactly one class
-    assert (total_mask == 1).all()
+
+    def abs_sum(parts) -> float:  # parts are gathered copies, so |.| in place
+        return float(sum(
+            np.sum(np.abs(part, out=part), dtype=np.longdouble) for part in parts
+        ))
+
+    out = {
+        name: abs_sum(
+            np.einsum(sub, g)[distinct[len(sub.split("->")[1])]] for sub in subs
+        )
+        for name, subs in _CLASS_VIEWS.items()
+    }
+
+    def all_distinct_slabs():
+        for p in range(n):
+            keep = distinct[3].copy()
+            keep[p] = keep[:, p] = keep[:, :, p] = False
+            yield g[p][keep]
+
+    out["pqrs"] = abs_sum(all_distinct_slabs())
     return out

@@ -17,6 +17,7 @@ is also provided; lambda_V' <= lambda_V always.
 
 All sums over the N^4 index space accumulate in extended precision
 (np.longdouble) so results are reproducible to well below test tolerances.
+No pass holds more than a fraction of the N^4 tensor in temporaries.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPositiveSemidefiniteError
-from .integrals import MolecularHamiltonian, class_decomposition
+from .integrals import MolecularHamiltonian, class_decomposition, row_blocks
 
 __all__ = [
     "NormReport",
@@ -44,8 +45,10 @@ __all__ = [
 
 
 def _abs_sum(values) -> float:
-    """Sum of |values| accumulated in extended precision."""
-    return float(np.sum(np.abs(values), dtype=np.longdouble))
+    """Sum of |values| in extended precision, over blocks of leading rows."""
+    rows = len(values)
+    blocks = row_blocks(rows, values[0].size if rows else 0)
+    return float(sum(np.sum(np.abs(values[b]), dtype=np.longdouble) for b in blocks))
 
 
 def _lambda_c(h, g) -> float:
@@ -60,12 +63,19 @@ def _lambda_t(h, g) -> float:
     return _abs_sum(t)
 
 
-def _lambda_v_prime(g) -> float:
+def _lambda_v_prime(g, abs_sum_g=None) -> float:
+    """lambda_V' from the p>r, s>q quarter of g; ``abs_sum_g`` is sum |g|
+    when the caller has it."""
     n = g.shape[0]
-    p, q, r, s = np.ogrid[0:n, 0:n, 0:n, 0:n]
-    mask = np.broadcast_to((p > r) & (s > q), g.shape)
-    antisym = g - np.transpose(g, (0, 3, 2, 1))  # g_pqrs - g_psrq
-    return 0.5 * _abs_sum(antisym[mask]) + 0.25 * _abs_sum(g)
+    p, r = np.tril_indices(n, -1)
+    q, s = np.triu_indices(n, 1)
+    p, r = p[:, None], r[:, None]
+    antisym = g[p, q, r, s]
+    antisym -= g[p, s, r, q]  # g_pqrs - g_psrq
+    np.abs(antisym, out=antisym)
+    if abs_sum_g is None:
+        abs_sum_g = _abs_sum(g)
+    return 0.5 * float(np.sum(antisym, dtype=np.longdouble)) + 0.25 * abs_sum_g
 
 
 def lambda_c(ham: MolecularHamiltonian) -> float:
@@ -160,12 +170,13 @@ def norm_report(
     with_cholesky: bool = False,
     cholesky_tolerance: float = 1e-8,
 ) -> NormReport:
-    """Compute all norm variants in one pass over the dense tensor."""
+    """Compute all norm variants; sum |g| is taken once and shared."""
     g = ham.two_body_dense()
     lc = _lambda_c(ham.one_body, g)
     lt = _lambda_t(ham.one_body, g)
-    lv = 0.5 * _abs_sum(g)
-    lvp = _lambda_v_prime(g)
+    abs_sum_g = _abs_sum(g)
+    lv = 0.5 * abs_sum_g
+    lvp = _lambda_v_prime(g, abs_sum_g)
     lsf = None
     if with_cholesky:
         lsf = lambda_sf(cholesky_decompose(ham, tolerance=cholesky_tolerance))

@@ -99,6 +99,8 @@ class OptimizationResult:
     n_objective_calls: int
     n_gradient_calls: int
     start_scheme: str | None = None
+    stop_reason: str = ""  # scipy's message from the last round
+    n_restarts: int = 0  # rounds run after the first
 
     @property
     def reduction_percent(self) -> float:
@@ -257,9 +259,10 @@ def minimize_norm(
                                      best_so_far=tracked.best_value))
 
     converged = n_params == 0
+    stop_reason, n_restarts = "no free parameters", 0
     if n_params:
         x_current = np.zeros(n_params)
-        for _ in range(max(1, config.restarts + 1)):
+        for n_restarts in range(max(1, config.restarts + 1)):
             before = tracked.best_value
             result = scipy_minimize(
                 tracked,
@@ -272,6 +275,7 @@ def minimize_norm(
                     "ftol": config.convergence_tol,
                 },
             )
+            stop_reason = str(result.message)
             x_current = tracked.best_x.copy()
             improvement = before - tracked.best_value
             if result.success or improvement < config.convergence_tol:
@@ -301,4 +305,6 @@ def minimize_norm(
         n_objective_calls=tracked.calls,
         n_gradient_calls=tracked.gradient_calls,
         start_scheme=scheme,
+        stop_reason=stop_reason,
+        n_restarts=n_restarts,
     )

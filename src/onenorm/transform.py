@@ -113,24 +113,26 @@ def transform_one_body(h: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 
 
 def transform_two_body(g: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Four-index transform by staged quarter contractions (O(N^5)).
+    """Four-index transform by four quarter contractions (O(N^5)).
 
-    The result is symmetry-checked and returned with every permutational
-    image set to its canonical entry, so the eight images are exactly equal.
+    Each quarter is one GEMM: it contracts the leading old index and
+    appends the new one last, so after four the order is (p, q, r, s)
+    again and no more than two tensors are live.  The result is
+    symmetry-checked and returned with every permutational image set to
+    its canonical entry, so the eight images are exactly equal.
     """
     g = np.asarray(g, dtype=float)
     coeff = np.asarray(coeff, dtype=float)
-    m = coeff.shape[0]
+    m, n = coeff.shape
     if g.shape != (m, m, m, m):
         raise InputError(
             f"two-body tensor {g.shape} incompatible with coefficient rows {m}"
         )
-    out = np.einsum("abcd,ap->pbcd", g, coeff, optimize=True)
-    out = np.einsum("pbcd,bq->pqcd", out, coeff, optimize=True)
-    out = np.einsum("pqcd,cr->pqrd", out, coeff, optimize=True)
-    out = np.einsum("pqrd,ds->pqrs", out, coeff, optimize=True)
+    out = g
+    for quarter in range(4):
+        out = out.reshape(m, m ** (3 - quarter) * n**quarter).T @ coeff
     try:
-        return symmetrize_two_body(out)
+        return symmetrize_two_body(out.reshape(n, n, n, n))
     except InputError as exc:
         raise InputError(f"transformed tensor lost its symmetry: {exc}") from exc
 

@@ -174,6 +174,19 @@ def test_localize_and_reapply_rotation(capsys, tmp_path, small_fcidump):
     assert np.max(np.abs(a.two_body - b.two_body)) < 1e-10
 
 
+def test_localize_method_flag_matches_library(capsys, small_fcidump):
+    from onenorm import LocalizationRequest, lambda_q, localize, parse_fcidump
+
+    path, _ = small_fcidump
+    code, out, _ = invoke(capsys, "localize", path, "--scheme", "er", "--method", "ascent")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "ascent"
+    ham = parse_fcidump(open(path).read())
+    expected = localize(ham, None, None, LocalizationRequest(scheme="er", method="ascent"))
+    assert payload["norms_after"]["lambda_Q_no_const"] == lambda_q(expected.hamiltonian)
+
+
 def test_optimize_subcommand(capsys, tmp_path, small_fcidump):
     path, _ = small_fcidump
     trace_path = tmp_path / "trace.csv"
@@ -185,6 +198,8 @@ def test_optimize_subcommand(capsys, tmp_path, small_fcidump):
     payload = json.loads(out)
     assert payload["lambda_final"] <= payload["lambda_start"] + 1e-9
     assert payload["n_gradient_calls"] >= 1
+    assert payload["stop_reason"]
+    assert payload["n_restarts"] >= 0
     assert trace_path.read_text().startswith("iteration,lambda_Q")
 
 

@@ -120,6 +120,70 @@ def test_arrays_are_immutable(rng):
         ham.two_body[0] = 1.0
 
 
+def test_writeable_inputs_are_copied_read_only_ones_shared(rng):
+    source = random_hamiltonian(3, rng)
+    h = source.one_body.copy()
+    g = source.two_body_dense().copy()
+    built = [
+        MolecularHamiltonian(n_orbitals=3, core_constant=0.0, one_body=h, two_body=g),
+        MolecularHamiltonian.from_dense(0.0, h, g),
+    ]
+    h += 1.0
+    g += 1.0
+    for ham in built:
+        assert np.array_equal(ham.one_body, source.one_body)
+        assert np.array_equal(ham.two_body, source.two_body)
+    # a read-only float64 array is stored without a copy
+    assert source.replace(core_constant=1.0).two_body is source.two_body
+
+
+def class_decomposition_oracle(g):
+    """The broadcast-mask class sums: per class (sum, number of entries)."""
+    g = np.abs(g)
+    n = g.shape[0]
+    p, q, r, s = np.ogrid[0:n, 0:n, 0:n, 0:n]
+    pq, rs = p == q, r == s
+    pr, ps = p == r, p == s
+    qr, qs = q == r, q == s
+    all_equal = pq & pr & ps
+    n_pairs_eq = (
+        pq.astype(int) + pr.astype(int) + ps.astype(int)
+        + qr.astype(int) + qs.astype(int) + rs.astype(int)
+    )
+    masks = {
+        "pppp": all_equal,
+        "pqqq": (n_pairs_eq == 3) & ~all_equal,
+        "pqpq": ((pr & qs) | (ps & qr)) & ~all_equal,
+        "ppqq": pq & rs & ~all_equal,
+        "pqrq": (n_pairs_eq == 1) & (pr | ps | qr | qs),
+        "pprs": (n_pairs_eq == 1) & (pq | rs),
+        "pqrs": n_pairs_eq == 0,
+    }
+    total_mask = np.zeros(g.shape, dtype=int)
+    out = {}
+    for name in CLASS_NAMES:
+        m = np.broadcast_to(masks[name], g.shape)
+        total_mask += m
+        out[name] = (float(np.sum(g[m], dtype=np.longdouble)), int(m.sum()))
+    assert (total_mask == 1).all()  # every tuple falls in exactly one class
+    return out
+
+
+def test_class_decomposition_matches_mask_oracle(rng):
+    for n in range(1, 8):
+        for _ in range(3):
+            ham = random_hamiltonian(n, rng)
+            sums = class_decomposition(ham)
+            assert list(sums) == list(CLASS_NAMES)
+            for name, (expected, count) in class_decomposition_oracle(
+                ham.two_body_dense()
+            ).items():
+                if count == 0:
+                    assert sums[name] == 0.0, (n, name)
+                else:
+                    assert sums[name] == pytest.approx(expected, rel=1e-12), (n, name)
+
+
 def test_class_decomposition_single_orbital():
     g = np.full((1, 1, 1, 1), -0.7)
     ham = MolecularHamiltonian.from_dense(0.0, np.zeros((1, 1)), g)

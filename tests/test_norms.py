@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,63 @@ def test_lambda_v_prime_bounded_by_lambda_v(rng):
         n = int(rng.integers(1, 5))
         ham = random_hamiltonian(n, rng)
         assert lambda_v_prime(ham) <= lambda_v_lee(ham) + 1e-12
+
+
+def lambda_v_prime_oracle(g):
+    """lambda_V' from the full antisymmetrized tensor and a broadcast mask."""
+    n = g.shape[0]
+    p, q, r, s = np.ogrid[0:n, 0:n, 0:n, 0:n]
+    mask = np.broadcast_to((p > r) & (s > q), g.shape)
+    antisym = g - np.transpose(g, (0, 3, 2, 1))  # g_pqrs - g_psrq
+    return (0.5 * float(np.sum(np.abs(antisym[mask]), dtype=np.longdouble))
+            + 0.25 * float(np.sum(np.abs(g), dtype=np.longdouble)))
+
+
+def test_lambda_v_prime_matches_mask_oracle(rng):
+    for n in range(1, 8):
+        for _ in range(3):
+            ham = random_hamiltonian(n, rng)
+            expected = lambda_v_prime_oracle(ham.two_body_dense())
+            assert lambda_v_prime(ham) == pytest.approx(expected, rel=1e-12)
+            assert norm_report(ham).lambda_V_prime == lambda_v_prime(ham)
+
+
+def _peak_in_tensors(func, nbytes):
+    """Peak traced allocation while ``func`` runs, in units of ``nbytes``."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        func()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / nbytes
+
+
+def test_n4_passes_are_memory_bounded(rng):
+    # numpy registers its data buffers with tracemalloc; bounds are in
+    # units of the N^4 tensor and include whatever the call returns
+    n = 24
+    factors = rng.standard_normal((2 * n, n, n))
+    factors = (factors + factors.transpose(0, 2, 1)).reshape(2 * n, n * n)
+    dense = (factors.T @ factors).reshape(n, n, n, n)
+    h = rng.standard_normal((n, n))
+    h = h + h.T
+    ham = MolecularHamiltonian.from_dense(0.0, h, dense)
+    rotation = random_orthogonal(n, rng)
+    peaks = {
+        "norm_report": _peak_in_tensors(lambda: norm_report(ham), dense.nbytes),
+        "class_decomposition": _peak_in_tensors(
+            lambda: class_decomposition(ham), dense.nbytes),
+        "from_dense": _peak_in_tensors(
+            lambda: MolecularHamiltonian.from_dense(0.0, h, dense), dense.nbytes),
+        "rotate_hamiltonian": _peak_in_tensors(
+            lambda: rotate_hamiltonian(ham, rotation), dense.nbytes),
+    }
+    bounds = {"norm_report": 1.0, "class_decomposition": 0.25,
+              "from_dense": 2.0, "rotate_hamiltonian": 3.0}
+    for name, bound in bounds.items():
+        assert peaks[name] <= bound, (name, peaks[name])
 
 
 def test_lambda_v_prime_equality_for_coulomb_only_tensor():

@@ -9,11 +9,12 @@ from onenorm import (
     localize,
     minimize_norm,
     objective,
+    parse_fcidump,
     rotate_hamiltonian,
 )
 from onenorm.errors import InputError
 
-from conftest import random_aux, random_hamiltonian
+from conftest import chain_path, random_aux, random_hamiltonian, requires_fixtures
 
 
 def test_config_validation():
@@ -153,6 +154,7 @@ def test_empty_window_returns_identity(rng):
     assert np.array_equal(result.rotation.matrix, np.eye(3))
     assert result.hamiltonian is ham
     assert result.converged
+    assert result.stop_reason == "no free parameters"
 
 
 def test_gradient_matches_stencil(rng):
@@ -224,3 +226,18 @@ def test_reduction_percent(rng):
     )
     expected = 100.0 * (1.0 - result.lambda_final / result.lambda_initial)
     assert result.reduction_percent == pytest.approx(expected, abs=1e-12)
+
+
+@requires_fixtures
+def test_stop_reason_records_lbfgsb_stall_on_h20():
+    # ER start, default L-BFGS-B: scipy stops after one iteration on the
+    # relative-reduction test while the gradient is still large, and the
+    # run counts as converged
+    ham = parse_fcidump(open(chain_path(20)).read())
+    result = minimize_norm(ham, OptimizerConfig())
+    assert result.stop_reason == "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+    assert result.n_objective_calls == 11
+    assert result.n_restarts == 0
+    assert result.converged
+    assert result.trace[-1].grad_inf_norm == pytest.approx(8.5, abs=0.05)
+

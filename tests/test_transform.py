@@ -20,6 +20,7 @@ from onenorm import (
     transform_two_body,
 )
 from onenorm.errors import InputError, NumericalError
+from onenorm.integrals import fill_from_canonical
 from onenorm.transform import givens_rotation
 
 from conftest import chain_path, random_hamiltonian, random_orthogonal, requires_fixtures
@@ -153,6 +154,23 @@ def test_transform_two_body_rectangular_coefficients(rng):
     assert np.max(np.abs(reduced - naive)) < 1e-12
     h_reduced = transform_one_body(ham.one_body, c)
     assert h_reduced.shape == (2, 2)
+
+
+def staged_einsum_transform(g, c):
+    """The quarter transforms as einsum stages, then the canonical fill."""
+    out = np.einsum("abcd,ap->pbcd", g, c, optimize=True)
+    out = np.einsum("pbcd,bq->pqcd", out, c, optimize=True)
+    out = np.einsum("pqcd,cr->pqrd", out, c, optimize=True)
+    out = np.einsum("pqrd,ds->pqrs", out, c, optimize=True)
+    return fill_from_canonical(out)
+
+
+def test_transform_two_body_matches_staged_einsum_bitwise(rng):
+    g = random_hamiltonian(10, rng).two_body_dense()
+    square = random_orthogonal(10, rng).matrix
+    rectangular = np.linalg.qr(rng.standard_normal((10, 6)))[0]
+    for c in (square, rectangular):
+        assert np.array_equal(transform_two_body(g, c), staged_einsum_transform(g, c))
 
 
 def test_transform_composition(rng):
