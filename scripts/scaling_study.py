@@ -3,7 +3,9 @@
 
 Takes FCIDUMP files labelled by system size, computes lambda_Q in the
 parsed (canonical) basis and optionally after localization, and fits
-log(lambda) = alpha log(N) + beta for each series.
+log(lambda) = alpha log(N) + beta for each series.  The fb and pm schemes
+read each ``<stem>_cmo.fcidump``'s MO coefficients and AO data from the
+``<stem>_aux.txt`` beside it, as ``generate_fixtures.py`` writes them.
 
 Example:
   python scripts/scaling_study.py --localize er \
@@ -14,15 +16,33 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import sys
 import warnings
 
-from onenorm import LocalizationRequest, fit_scaling, lambda_q, localize, parse_fcidump
+from onenorm import (
+    LocalizationRequest,
+    fit_scaling,
+    lambda_q,
+    localize,
+    parse_auxiliary,
+    parse_fcidump,
+)
 
 
 def size_from_name(path, ham):
     match = re.search(r"(\d+)", path.rsplit("/", 1)[-1])
     return int(match.group(1)) if match else ham.n_orbitals
+
+
+def load_aux(path):
+    """The auxiliary data beside ``<stem>_cmo.fcidump``; exits if it is absent."""
+    aux_path = re.sub(r"_cmo\.fcidump$", "", path) + "_aux.txt"
+    if not os.path.exists(aux_path):
+        sys.exit(f"error: {path} needs auxiliary data in {aux_path}, which does not exist")
+    with open(aux_path, encoding="utf-8") as handle:
+        return parse_auxiliary(handle.read())
 
 
 def main():
@@ -43,9 +63,10 @@ def main():
         row = {"path": path, "size": size, "lambda_cmo": lambda_q(ham)}
         if args.localize:
             request = LocalizationRequest(scheme=args.localize, method=args.method)
+            aux = None if request.scheme == "er" else load_aux(path)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                result = localize(ham, None, None, request)
+                result = localize(ham, None, aux, request)
             row["lambda_localized"] = lambda_q(result.hamiltonian)
         rows.append(row)
 

@@ -2,8 +2,9 @@
 
 Every subcommand reads FCIDUMP (and optionally auxiliary labeled-matrix)
 files, emits JSON to stdout by default (CSV behind ``--csv`` where the
-output is tabular), and exits 0 on success, 1 on input errors, 2 on
-numerical failures (non-PSD tensors, or non-convergence under --strict).
+output is tabular), and exits 0 on success, 1 on input errors (argparse
+usage errors included), 2 on numerical failures (non-PSD tensors, or
+non-convergence under --strict).
 Identical argv + inputs + seed produce byte-identical stdout.
 """
 
@@ -218,7 +219,6 @@ def _cmd_localize(args):
         convergence_tol=args.tol,
         max_sweeps=args.max_sweeps,
         seed=args.seed,
-        pm_weight=args.pm_weight,
         method=args.method,
     )
     with warnings.catch_warnings():
@@ -226,7 +226,8 @@ def _cmd_localize(args):
         result = run_localize(ham, None, aux, request)
     if args.strict and not result.converged:
         raise NumericalError(
-            f"{args.scheme} localization did not converge in {args.max_sweeps} sweeps"
+            f"{args.scheme} localization ({args.method}) did not converge "
+            f"within --max-sweeps {args.max_sweeps}"
         )
     _write_output(args.output, fcidump.write_fcidump(result.hamiltonian))
     _write_output(
@@ -412,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux", help="auxiliary labeled-matrix file")
     p.add_argument("--window", default=None, help="comma list of orbitals to mix")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-sweeps", type=int, default=200)
+    p.add_argument("--max-sweeps", type=int, default=200,
+                   help="cap on Jacobi sweeps or ascent iterations (default: 200)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--pm-weight", type=float, default=2.0)
     p.add_argument("--rotation-out", help="write the rotation matrix here")
     p.add_argument("-o", "--output", help="write localized FCIDUMP here")
     common(p)
@@ -459,8 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         _apply_thread_limit(args)
         return args.func(args)

@@ -1,22 +1,43 @@
 """Orbital localization by Jacobi sweeps or gradient ascent, plus Lowdin OAO.
 
-Three molecular-orbital schemes share one engine.  Each maximizes a sum of
-squared diagonal quantities that a 2x2 rotation of orbitals (i, j) turns
-into a pure fourth-harmonic in the angle,
+The three molecular-orbital schemes share one engine.  Each maximizes a
+weighted sum of squared diagonals over a stack of symmetric matrices,
+
+    L(U) = sum_k w_k sum_{p in window} ((U^T M_k U)_pp)^2,
+
+which a 2x2 rotation of orbitals (i, j) turns into a pure fourth harmonic
+in the angle,
 
     f(theta) = const + A cos(4 theta) + B sin(4 theta),
 
 so the optimal angle per pair is closed-form: 4 theta* = atan2(B, A).
+A pair with A = B = 0 is flat and is skipped.
 
-  ER  maximizes sum_p (pp|pp), the orbital self-repulsion, straight from
-      the two-electron tensor.
-  FB  maximizes sum_p |<p|r|p>|^2 over the window.  Because the window
-      trace of <r^2> is rotation invariant, this is the same optimum as
-      minimizing the orbital spread sum_p (<p|r^2|p> - <p|r|p>^2).
-  PM  maximizes sum_p sum_A (orbital Mulliken population on atom A)^2.
-      The aggregate atomic-charge sum sum_A Q_A^2 reported by
-      :func:`cost_pm` is invariant under window rotations and is kept as
-      a diagnostic only.
+  ER  maximizes sum_{p in window} (pp|pp), the orbital self-repulsion.
+      Any factorization g = sum_k s_k M_k (x) M_k gives
+      sum_p (pp|pp) = sum_k s_k sum_p (M_k)_pp^2, so the stack holds the
+      eigenvectors of the (pq|rs) pair matrix and the weights its
+      eigenvalues, of either sign (see :func:`_er_factors`).
+  FB  maximizes sum_p |<p|r|p>|^2 over the window: the three MO dipole
+      matrices with unit weights.  Because the window trace of <r^2> is
+      rotation invariant, this is the same optimum as minimizing the
+      orbital spread sum_p (<p|r^2|p> - <p|r|p>^2).
+  PM  maximizes sum_p sum_A (orbital Mulliken population on atom A)^2:
+      the per-atom population matrices with unit weights.  The aggregate
+      atomic-charge sum sum_A Q_A^2 reported by :func:`cost_pm` is
+      invariant under window rotations and is kept as a diagnostic only.
+
+The logged objective is the window sum for every scheme; for ER with an
+explicit window it leaves out sum_{p not in window} (pp|pp), a constant
+that no window rotation changes.
+
+``method="jacobi"`` runs :func:`_jacobi` on the stack for all three
+schemes, and ``method="ascent"`` runs gradient ascent on the stack for FB
+and PM.  ER ascent keeps rotating the two-electron tensor itself: the
+orbital optimizer starts from its result, and SLSQP on H2/cc-pVDZ is so
+sensitive to the last bits of that start that running the ascent on the
+stack instead (a start 4e-9 relative away) took it from 154 to 1838
+objective calls.
 
 OAO ignores the window: it returns the rotation carrying the current MO
 basis onto the symmetrically orthogonalized AOs, C^-1 S^(-1/2).
@@ -50,9 +71,6 @@ __all__ = [
 ]
 
 SCHEMES = ("oao", "pm", "fb", "er")
-GRID_POINTS = 64
-
-
 METHODS = ("jacobi", "ascent")
 
 
@@ -65,6 +83,7 @@ class LocalizationRequest:
     gradient ascent, converges to the stationary point nearest the
     starting basis, the way Newton-style localizers in production
     chemistry codes behave).  Both never decrease the objective.
+    ``max_sweeps`` caps Jacobi sweeps and ascent iterations alike.
     """
 
     scheme: str
@@ -72,9 +91,7 @@ class LocalizationRequest:
     convergence_tol: float = 1e-8
     max_sweeps: int = 200
     seed: int | None = None
-    pm_weight: float = 2.0
     method: str = "jacobi"
-    max_iterations: int = 20000  # ascent only
 
     def __post_init__(self):
         scheme = str(self.scheme).lower()
@@ -126,13 +143,7 @@ def _mo_dipoles(coeff, aux: AuxiliaryIntegrals):
 
 def cost_fb(coeff, aux: AuxiliaryIntegrals, window) -> float:
     """Dipole-norm form of the Foster-Boys measure: sum_p |<p|r|p>|^2."""
-    mats = _mo_dipoles(coeff, aux)
-    window = tuple(window)
-    total = 0.0
-    for m in mats:
-        d = np.diagonal(m)[list(window)]
-        total += float(np.sum(d * d, dtype=np.longdouble))
-    return total
+    return _stack_objective(np.array(_mo_dipoles(coeff, aux)), np.ones(3), window)
 
 
 def _population_matrices(coeff, aux: AuxiliaryIntegrals):
@@ -178,54 +189,59 @@ def cost_pm(coeff, aux: AuxiliaryIntegrals, window, weight: float = 2.0) -> floa
     return total
 
 
-def _diag_square_objective(mats, window) -> float:
-    total = 0.0
-    for m in mats:
-        d = np.diagonal(m)[list(window)]
-        total += float(np.sum(d * d, dtype=np.longdouble))
-    return total
+def _er_factors(g):
+    """Stack (M_k) and weights s_k with g = sum_k s_k M_k (x) M_k.
 
-
-def _apply_givens_sym(mat, i, j, c, s):
-    """In-place congruence update M <- G^T M G for the embedded rotation."""
-    col_i, col_j = mat[:, i].copy(), mat[:, j].copy()
-    mat[:, i] = c * col_i - s * col_j
-    mat[:, j] = s * col_i + c * col_j
-    row_i, row_j = mat[i, :].copy(), mat[j, :].copy()
-    mat[i, :] = c * row_i - s * row_j
-    mat[j, :] = s * row_i + c * row_j
-
-
-def _apply_givens_tensor(g, i, j, c, s):
-    """In-place basis change of a dense 4-index tensor on orbitals (i, j)."""
-    for axis in range(4):
-        view = np.moveaxis(g, axis, 0)
-        g_i, g_j = view[i].copy(), view[j].copy()
-        view[i] = c * g_i - s * g_j
-        view[j] = s * g_i + c * g_j
-
-
-def _apply_givens_columns(u, i, j, c, s):
-    col_i, col_j = u[:, i].copy(), u[:, j].copy()
-    u[:, i] = c * col_i - s * col_j
-    u[:, j] = s * col_i + c * col_j
-
-
-def _best_angle(a: float, b: float, pair_objective) -> tuple[float, float]:
-    """Maximizer of const + a cos4t + b sin4t, with a grid fallback.
-
-    Returns (theta, predicted_gain).  When the harmonic coefficients sink
-    into round-off the closed form is meaningless; a 64-point scan of the
-    directly evaluated pair objective decides instead.
+    The eigenpairs of the (pq|rs) matrix over pairs p >= q, each
+    off-diagonal pair scaled by sqrt(2) so that the pair basis is
+    orthonormal.  ``eigh`` rather than a Cholesky factorization, because
+    the tensor need not be PSD: negative s_k are kept as they are.  Modes
+    with |s_k| <= 1e-14 max|s| are dropped.
     """
-    amplitude = float(np.hypot(a, b))
-    if np.isfinite(amplitude) and amplitude > 1e-300:
-        theta = 0.25 * float(np.arctan2(b, a))
-        return theta, amplitude - a
-    thetas = -np.pi / 4 + np.pi / 2 * np.arange(GRID_POINTS) / GRID_POINTS
-    values = [pair_objective(t) for t in thetas]
-    best = int(np.argmax(values))
-    return float(thetas[best]), float(values[best] - pair_objective(0.0))
+    n = g.shape[0]
+    rows, cols = np.tril_indices(n)
+    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    flat = rows * n + cols
+    pair = g.reshape(n * n, n * n)[np.ix_(flat, flat)]
+    pair *= np.outer(scale, scale)
+    weights, vecs = np.linalg.eigh(pair)
+    del pair  # freed before the stack is built: it lowers the peak RSS
+    keep = np.abs(weights) > 1e-14 * np.max(np.abs(weights))
+    mats = np.zeros((int(np.count_nonzero(keep)), n, n))
+    mats[:, rows, cols] = (vecs[:, keep] / scale[:, np.newaxis]).T
+    mats[:, cols, rows] = mats[:, rows, cols]
+    return mats, weights[keep]
+
+
+def _objective_stack(ham, coeff, aux, scheme):
+    """The (K, N, N) stack and weights whose objective the scheme maximizes."""
+    if scheme == "er":
+        return _er_factors(ham.two_body_dense())
+    if scheme == "fb":
+        mats = _mo_dipoles(coeff, aux)
+    else:
+        _, mats = _population_matrices(coeff, aux)
+    return np.array(mats, dtype=float), np.ones(len(mats))
+
+
+def _stack_objective(mats, weights, window) -> float:
+    """sum_k w_k sum_{p in window} (M_k)_pp^2."""
+    diag = np.einsum("kpp->kp", mats)[:, list(window)]
+    return sum(
+        (w * float(np.sum(d * d, dtype=np.longdouble)) for w, d in zip(weights, diag)), 0.0
+    )
+
+
+def _stack_gradient(mats, weights, window):
+    """Gradient of the stack objective with respect to a generator K.
+
+    Columns convention, as ``_ascend`` uses it: entry (q, p) is
+    R_qp - R_pq with R_qp = 4 sum_k w_k (M_k)_qp (M_k)_pp [p in window].
+    """
+    diag = np.zeros(mats.shape[:2])
+    diag[:, list(window)] = np.einsum("kpp->kp", mats)[:, list(window)]
+    raw = 4.0 * np.einsum("kqp,kp->qp", mats, weights[:, np.newaxis] * diag)
+    return raw - raw.T
 
 
 def _sweep_pairs(window, sweep_index, seed):
@@ -236,83 +252,36 @@ def _sweep_pairs(window, sweep_index, seed):
     return pairs
 
 
-def _jacobi_matrix_scheme(mats, window, request):
-    """Sweep engine for objectives sum_k sum_p (M_k)_pp^2; returns (U, log)."""
-    n = mats[0].shape[0]
-    u = np.eye(n)
-    log = [_diag_square_objective(mats, window)]
+def _jacobi(mats, weights, window, request):
+    """Jacobi sweeps over the stack, rotated in place; returns (U, log, converged, sweeps).
+
+    A rotation by theta of pair (i, j) changes the objective by
+    f(theta) - f(0) with f(theta) = const + A cos(4 theta) + B sin(4 theta),
+    where, for d_k = (M_k)_ii - (M_k)_jj and v_k = (M_k)_ij,
+    A = sum_k w_k (d_k^2 / 4 - v_k^2) and B = -sum_k w_k d_k v_k.  Its
+    maximum is hypot(A, B) - A above f(0); a pair with A = B = 0 is flat.
+    """
+    u = np.eye(mats.shape[1])
+    log = [_stack_objective(mats, weights, window)]
     converged = False
     sweeps = 0
     for sweep in range(request.max_sweeps):
         sweeps += 1
         for i, j in _sweep_pairs(window, sweep, request.seed):
-            u_vec = np.array([m[i, i] - m[j, j] for m in mats])
-            v_vec = np.array([m[i, j] for m in mats])
-            a = 0.25 * float(u_vec @ u_vec) - float(v_vec @ v_vec)
-            b = -float(u_vec @ v_vec)
-
-            def pair_objective(theta, u_vec=u_vec, v_vec=v_vec, mats=mats, i=i, j=j):
-                c, s = np.cos(theta), np.sin(theta)
-                total = 0.0
-                for m in mats:
-                    mii, mjj, mij = m[i, i], m[j, j], m[i, j]
-                    new_ii = c * c * mii + s * s * mjj - 2 * c * s * mij
-                    new_jj = s * s * mii + c * c * mjj + 2 * c * s * mij
-                    total += new_ii**2 + new_jj**2
-                return total
-
-            theta, gain = _best_angle(a, b, pair_objective)
-            if gain <= 0.0 or theta == 0.0:
+            diff = mats[:, i, i] - mats[:, j, j]
+            off = mats[:, i, j]
+            a = 0.25 * float((weights * diff) @ diff) - float((weights * off) @ off)
+            b = -float((weights * diff) @ off)
+            theta = 0.25 * float(np.arctan2(b, a))
+            if float(np.hypot(a, b)) - a <= 0.0 or theta == 0.0:
                 continue
             c, s = float(np.cos(theta)), float(np.sin(theta))
-            for m in mats:
-                _apply_givens_sym(m, i, j, c, s)
-            _apply_givens_columns(u, i, j, c, s)
-        log.append(_diag_square_objective(mats, window))
-        if log[-1] - log[-2] < request.convergence_tol * max(abs(log[-1]), 1.0):
-            converged = True
-            break
-    return u, log, converged, sweeps
-
-
-def _jacobi_er(ham: MolecularHamiltonian, window, request):
-    n = ham.n_orbitals
-    g = ham.two_body_dense().copy()
-    u = np.eye(n)
-    log = [float(np.sum(np.einsum("pppp->p", g), dtype=np.longdouble))]
-    converged = False
-    sweeps = 0
-    for sweep in range(request.max_sweeps):
-        sweeps += 1
-        for i, j in _sweep_pairs(window, sweep, request.seed):
-            g_iiii, g_jjjj = g[i, i, i, i], g[j, j, j, j]
-            g_ijij, g_iijj = g[i, j, i, j], g[i, i, j, j]
-            g_iiij, g_jjij = g[i, i, i, j], g[j, j, i, j]
-            a = 0.25 * (g_iiii + g_jjjj) - g_ijij - 0.5 * g_iijj
-            b = g_jjij - g_iiij
-
-            # Gram matrix of the pair densities (rho_ii, rho_jj, rho_ij)
-            gram = np.array(
-                [
-                    [g_iiii, g_iijj, g_iiij],
-                    [g_iijj, g_jjjj, g_jjij],
-                    [g_iiij, g_jjij, g_ijij],
-                ]
-            )
-
-            def pair_objective(theta, gram=gram):
-                c, s = np.cos(theta), np.sin(theta)
-                w_i = np.array([c * c, s * s, -2 * c * s])
-                w_j = np.array([s * s, c * c, 2 * c * s])
-                return float(w_i @ gram @ w_i + w_j @ gram @ w_j)
-
-            theta, gain = _best_angle(a, b, pair_objective)
-            if gain <= 0.0 or theta == 0.0:
-                continue
-            c, s = float(np.cos(theta)), float(np.sin(theta))
-            _apply_givens_tensor(g, i, j, c, s)
-            _apply_givens_columns(u, i, j, c, s)
-        log.append(float(np.sum(np.einsum("pppp->p", g), dtype=np.longdouble)))
+            # M_k <- G^T M_k G (columns, then rows) and U <- U G
+            for view in (mats, mats.swapaxes(1, 2), u):
+                col_i, col_j = view[..., i].copy(), view[..., j].copy()
+                view[..., i] = c * col_i - s * col_j
+                view[..., j] = s * col_i + c * col_j
+        log.append(_stack_objective(mats, weights, window))
         if log[-1] - log[-2] < request.convergence_tol * max(abs(log[-1]), 1.0):
             converged = True
             break
@@ -337,7 +306,7 @@ def _ascend(state_cost, state_gradient, state_step, n, window, request):
     converged = False
     iterations = 0
     stalls = 0
-    for _ in range(request.max_iterations):
+    for _ in range(request.max_sweeps):
         grad = state_gradient()
         grad = np.where(mask, grad, 0.0)
         gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
@@ -369,11 +338,12 @@ def _ascend(state_cost, state_gradient, state_step, n, window, request):
     return u, log, converged, iterations
 
 
-def _ascent_er(ham: MolecularHamiltonian, window, request):
-    g = ham.two_body_dense().copy()
+def _er_window_cost(g, window) -> float:
+    return float(np.sum(np.einsum("pppp->p", g)[list(window)], dtype=np.longdouble))
 
-    def cost():
-        return float(np.sum(np.einsum("pppp->p", g), dtype=np.longdouble))
+
+def _ascent_er(ham: MolecularHamiltonian, window, request):
+    g = ham.two_body_dense()
 
     def gradient():
         raw = 4.0 * np.einsum("pppq->qp", g)
@@ -383,38 +353,26 @@ def _ascent_er(ham: MolecularHamiltonian, window, request):
         nonlocal g
         rotated = transform_two_body(g, u_step)
         if trial:
-            return float(np.sum(np.einsum("pppp->p", rotated), dtype=np.longdouble))
+            return _er_window_cost(rotated, window)
         g = rotated
         return None
 
-    return _ascend(cost, gradient, step, ham.n_orbitals, window, request)
+    return _ascend(lambda: _er_window_cost(g, window), gradient, step,
+                   ham.n_orbitals, window, request)
 
 
-def _ascent_matrix_scheme(mats, window, request):
-    n = mats[0].shape[0]
-    window_mask = np.zeros(n, dtype=bool)
-    window_mask[list(window)] = True
-
-    def cost():
-        return _diag_square_objective(mats, window)
-
-    def gradient():
-        total = np.zeros((n, n))
-        for m in mats:
-            d = np.where(window_mask, np.diagonal(m), 0.0)
-            raw = 4.0 * m * d[np.newaxis, :]  # R_qp = 4 M_qp M_pp [p in window]
-            total += raw - raw.T
-        return total
-
+def _ascent_stack(mats, weights, window, request):
     def step(u_step, trial):
+        nonlocal mats
+        rotated = u_step.T @ mats @ u_step
         if trial:
-            rotated = [u_step.T @ m @ u_step for m in mats]
-            return _diag_square_objective(rotated, window)
-        for k, m in enumerate(mats):
-            mats[k] = u_step.T @ m @ u_step
+            return _stack_objective(rotated, weights, window)
+        mats = rotated
         return None
 
-    return _ascend(cost, gradient, step, n, window, request)
+    return _ascend(lambda: _stack_objective(mats, weights, window),
+                   lambda: _stack_gradient(mats, weights, window),
+                   step, mats.shape[1], window, request)
 
 
 def _localize_oao(ham, coeff, aux, request):
@@ -459,7 +417,7 @@ def localize(
     """Run the requested scheme; rotations act only inside the window.
 
     Returns the accumulated rotation (identity outside the window) and
-    the Hamiltonian rebuilt in the rotated basis.  Hitting the sweep cap
+    the Hamiltonian rebuilt in the rotated basis.  Hitting ``max_sweeps``
     returns the best basis found and raises a ConvergenceWarning.
     """
     if request.scheme == "oao":
@@ -476,30 +434,17 @@ def localize(
             objective_per_sweep=(),
         )
 
-    if request.scheme == "er":
-        if request.method == "jacobi":
-            u, log, converged, sweeps = _jacobi_er(ham, window, request)
-        else:
-            u, log, converged, sweeps = _ascent_er(ham, window, request)
+    if request.scheme == "er" and request.method == "ascent":
+        u, log, converged, sweeps = _ascent_er(ham, window, request)
     else:
-        if request.scheme == "fb":
-            mats = _mo_dipoles(coeff, aux)
-        else:
-            _, mats = _population_matrices(coeff, aux)
-        mats = [np.array(m, dtype=float, copy=True) for m in mats]
-        if request.method == "jacobi":
-            u, log, converged, sweeps = _jacobi_matrix_scheme(mats, window, request)
-        else:
-            u, log, converged, sweeps = _ascent_matrix_scheme(mats, window, request)
+        mats, weights = _objective_stack(ham, coeff, aux, request.scheme)
+        engine = _jacobi if request.method == "jacobi" else _ascent_stack
+        u, log, converged, sweeps = engine(mats, weights, window, request)
 
     if not converged:
-        cap = (
-            f"max_sweeps={request.max_sweeps}"
-            if request.method == "jacobi"
-            else f"max_iterations={request.max_iterations}"
-        )
         warnings.warn(
-            f"{request.scheme} localization stopped at {cap}",
+            f"{request.scheme} localization ({request.method}) stopped at "
+            f"max_sweeps={request.max_sweeps}",
             ConvergenceWarning,
             stacklevel=2,
         )

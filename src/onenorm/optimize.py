@@ -48,7 +48,6 @@ class OptimizerConfig:
     algorithm: str = "quasi-newton-bounded"
     start_from: str = "localized:er"
     restarts: int = 2
-    pm_weight: float = 2.0
     localization_method: str = "jacobi"
 
     def __post_init__(self):
@@ -237,7 +236,6 @@ def minimize_norm(
             coeff,
             aux,
             LocalizationRequest(scheme=scheme, window=config.window,
-                                pm_weight=config.pm_weight,
                                 method=config.localization_method),
         )
         pre_rotation = loc.rotation

@@ -273,12 +273,27 @@ def test_strict_nonconvergence_exit_code(capsys, tmp_path, rng):
     ham = random_hamiltonian(5, rng)
     path = tmp_path / "hard.fcidump"
     path.write_text(write_fcidump(ham))
-    code, _, err = invoke(
-        capsys, "--strict", "localize", str(path), "--scheme", "er",
-        "--max-sweeps", "1", "--tol", "1e-16",
-    )
-    assert code == 2
-    assert "converge" in err
+    for method in ("jacobi", "ascent"):
+        code, _, err = invoke(
+            capsys, "--strict", "localize", str(path), "--scheme", "er",
+            "--method", method, "--max-sweeps", "1", "--tol", "1e-16",
+        )
+        assert code == 2
+        assert "converge" in err
+        assert method in err and "--max-sweeps 1" in err
+
+
+def test_usage_errors_return_input_error_code(capsys, small_fcidump):
+    path, _ = small_fcidump
+    code, _, err = invoke(capsys, "localize", path, "--scheme", "er", "--method", "newton")
+    assert code == 1
+    assert "newton" in err
+    code, _, err = invoke(capsys, "localize", "--scheme", "er")
+    assert code == 1
+    assert "required" in err
+    code, out, _ = invoke(capsys, "--help")
+    assert code == 0
+    assert "usage" in out
 
 
 def test_threads_flag_validation(capsys, small_fcidump):

@@ -19,7 +19,14 @@ from onenorm import (
 from onenorm.errors import ConvergenceWarning, InputError
 from onenorm.integrals import AuxiliaryIntegrals
 
-from conftest import random_aux, random_hamiltonian, random_orthogonal
+from conftest import (
+    chain_path,
+    random_aux,
+    random_hamiltonian,
+    random_orthogonal,
+    random_psd_hamiltonian,
+    requires_fixtures,
+)
 
 
 def test_request_validation():
@@ -154,6 +161,31 @@ def test_fb_objective_matches_cost_function(rng):
     )
 
 
+@pytest.mark.parametrize("method", ["jacobi", "ascent"])
+def test_windowed_logs_are_documented_costs(rng, method):
+    # the logged objective is the window sum: sum_{p in w} (pp|pp) for ER,
+    # cost_fb for FB
+    ham = random_hamiltonian(5, rng)
+    aux = random_aux(5, rng)
+    c = aux.mo_coefficients
+    window = (0, 2, 3)
+
+    def er_window_cost(h):
+        return float(sum(h.g(p, p, p, p) for p in window))
+
+    er = localize(ham, None, None, LocalizationRequest(scheme="er", window=window,
+                                                       method=method))
+    assert er.objective_per_sweep[0] == pytest.approx(er_window_cost(ham), abs=1e-12)
+    assert er.objective_per_sweep[-1] == pytest.approx(
+        er_window_cost(er.hamiltonian), abs=1e-10
+    )
+    fb = localize(ham, c, aux, LocalizationRequest(scheme="fb", window=window,
+                                                   method=method))
+    assert fb.objective_per_sweep[-1] == pytest.approx(
+        cost_fb(c @ fb.rotation.matrix, aux, window), abs=1e-10
+    )
+
+
 def test_rotation_identity_outside_window(rng):
     ham = random_hamiltonian(5, rng)
     window = (1, 3)
@@ -262,15 +294,16 @@ def test_jacobi_pair_angle_is_pairwise_optimal(rng):
 
 
 def test_ascent_matrix_gradient_matches_finite_difference(rng):
-    # gradient of sum_k sum_{p in w} (M_k)_pp^2 wrt generator entries
+    # gradient of sum_k w_k sum_{p in w} (M_k)_pp^2 wrt generator entries
     from scipy.linalg import expm
+
+    from onenorm.localize import _stack_gradient
 
     n = 4
     window = (0, 1, 2)
-    mats = []
-    for _ in range(2):
-        m = rng.standard_normal((n, n))
-        mats.append(0.5 * (m + m.T))
+    weights = np.array([1.3, -0.7])
+    mats = rng.standard_normal((2, n, n))
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
 
     def value(kvec):
         k = np.zeros((n, n))
@@ -278,22 +311,12 @@ def test_ascent_matrix_gradient_matches_finite_difference(rng):
         k -= k.T
         u = expm(k)
         total = 0.0
-        for m in mats:
+        for w, m in zip(weights, mats):
             rotated = u.T @ m @ u
-            total += sum(rotated[p, p] ** 2 for p in window)
+            total += w * sum(rotated[p, p] ** 2 for p in window)
         return total
 
-    from onenorm.localize import _ascent_matrix_scheme
-
-    # probe the analytic gradient at the origin through a tiny step
-    window_mask = np.zeros(n, dtype=bool)
-    window_mask[list(window)] = True
-    analytic = np.zeros((n, n))
-    for m in mats:
-        d = np.where(window_mask, np.diagonal(m), 0.0)
-        raw = 4.0 * m * d[np.newaxis, :]
-        analytic += raw - raw.T
-
+    analytic = _stack_gradient(mats, weights, window)
     h = 1e-6
     rows, cols = np.triu_indices(n, 1)
     for idx in range(len(rows)):
@@ -301,3 +324,53 @@ def test_ascent_matrix_gradient_matches_finite_difference(rng):
         e[idx] = h
         fd = (value(e) - value(-e)) / (2 * h)
         assert fd == pytest.approx(analytic[rows[idx], cols[idx]], abs=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("psd", [True, False])
+def test_er_factors_reconstruct_the_tensor(rng, n, psd):
+    from onenorm.localize import _er_factors
+
+    ham = random_psd_hamiltonian(n, rng) if psd else random_hamiltonian(n, rng)
+    g = ham.two_body_dense()
+    mats, weights = _er_factors(g)
+    assert np.array_equal(mats, mats.transpose(0, 2, 1))
+    # orthonormal in the Frobenius inner product, so s_k are the eigenvalues
+    # of g acting on symmetric matrices
+    gram = np.einsum("kpq,lpq->kl", mats, mats)
+    assert np.max(np.abs(gram - np.eye(len(weights)))) <= 1e-12
+    rebuilt = np.einsum("k,kpq,krs->pqrs", weights, mats, mats)
+    assert np.max(np.abs(rebuilt - g)) <= 1e-12 * np.max(np.abs(g))
+    diag = np.einsum("kpp->kp", mats)
+    assert float(weights @ np.sum(diag**2, axis=1)) == pytest.approx(cost_er(ham), rel=1e-12)
+    if not psd and n > 1:
+        assert weights.min() < 0 < weights.max()
+
+
+@requires_fixtures
+@pytest.mark.parametrize(
+    "n, lam, sweeps",
+    [(4, 3.7235500366650447, 4), (10, 13.43504354637642, 5), (20, 32.56949355135883, 5)],
+)
+def test_er_jacobi_on_chains_matches_tensor_sweep(n, lam, sweeps):
+    # lambda_Q and sweep counts of the former sweep over the N^4 tensor
+    from onenorm import parse_fcidump
+
+    ham = parse_fcidump(open(chain_path(n)).read())
+    result = localize(ham, None, None, LocalizationRequest(scheme="er"))
+    assert lambda_q(result.hamiltonian) == pytest.approx(lam, rel=1e-12)
+    assert result.sweeps == sweeps
+    assert result.converged
+
+
+def test_jacobi_leaves_a_flat_pair_alone():
+    # sum_k (M_k)_pp^2 of these two matrices is the same at every angle
+    from onenorm.localize import _jacobi
+
+    mats = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    u, log, converged, sweeps = _jacobi(
+        mats, np.ones(2), (0, 1), LocalizationRequest(scheme="fb")
+    )
+    assert np.array_equal(u, np.eye(2))
+    assert log == [2.0, 2.0]
+    assert converged and sweeps == 1
