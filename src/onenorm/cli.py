@@ -266,7 +266,7 @@ def _cmd_optimize(args):
         warnings.simplefilter("ignore", ConvergenceWarning)
         result = minimize_norm(ham, config, aux=aux)
     if args.strict and not result.converged:
-        raise NumericalError("1-norm optimization did not converge")
+        raise NumericalError(f"1-norm optimization did not converge: {result.stop_reason}")
     _write_output(args.output, fcidump.write_fcidump(result.hamiltonian))
     _write_output(
         args.rotation_out,

@@ -21,8 +21,8 @@ from .errors import DataWarning, InputError
 from .integrals import (
     AuxiliaryIntegrals,
     MolecularHamiltonian,
-    fill_from_canonical,
-    pair_index,
+    from_pair_matrix,
+    pair_matrix,
 )
 
 __all__ = [
@@ -86,9 +86,9 @@ def parse_fcidump(text) -> MolecularHamiltonian:
         raise InputError("NORB must be non-negative")
 
     h = np.zeros((norb, norb))
-    g = np.zeros((norb,) * 4)
     seen_h = np.zeros((norb, norb), dtype=bool)
-    seen_g = np.zeros(g.shape, dtype=bool)
+    n_pairs = norb * (norb + 1) // 2
+    g = {}  # flat slot a * n_pairs + b of the pair matrix, a >= b -> value
     core = 0.0
 
     for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
@@ -120,7 +120,7 @@ def parse_fcidump(text) -> MolecularHamiltonian:
             if seen_h[hi, lo] and abs(h[hi, lo] - value) > 1e-10:
                 warnings.warn(
                     f"line {lineno}: conflicting duplicate for h[{i},{j}] "
-                    f"({h[hi, lo]!r} -> {value!r})",
+                    f"({float(h[hi, lo])!r} -> {value!r})",
                     DataWarning,
                     stacklevel=2,
                 )
@@ -129,26 +129,27 @@ def parse_fcidump(text) -> MolecularHamiltonian:
         elif 0 in (i, j, k, l):
             raise InputError(f"line {lineno}: malformed index pattern {raw!r}")
         else:
-            p, q = max(i, j) - 1, min(i, j) - 1
-            r, s = max(k, l) - 1, min(k, l) - 1
-            if p * (p + 1) // 2 + q < r * (r + 1) // 2 + s:
-                p, q, r, s = r, s, p, q
-            c = (p, q, r, s)  # canonical slot
-            if seen_g[c] and abs(g[c] - value) > 1e-10:
+            # pair indices of {i, j} and {k, l}, inline: this runs once per line
+            a = i * (i - 1) // 2 + j - 1 if i >= j else j * (j - 1) // 2 + i - 1
+            b = k * (k - 1) // 2 + l - 1 if k >= l else l * (l - 1) // 2 + k - 1
+            slot = a * n_pairs + b if a >= b else b * n_pairs + a
+            old = g.get(slot)
+            if old is not None and abs(old - value) > 1e-10:
                 warnings.warn(
                     f"line {lineno}: conflicting duplicate for g[{i},{j},{k},{l}] "
-                    f"({g[c]!r} -> {value!r})",
+                    f"({old!r} -> {value!r})",
                     DataWarning,
                     stacklevel=2,
                 )
-            g[c] = value
-            seen_g[c] = True
+            g[slot] = value
 
+    pairs = np.zeros((n_pairs, n_pairs))
+    pairs.flat[list(g)] = list(g.values())
     return MolecularHamiltonian(
         n_orbitals=norb,
         core_constant=core,
         one_body=h,
-        two_body=fill_from_canonical(g),
+        two_body=from_pair_matrix(pairs, norb),
         n_electrons=nelec,
     )
 
@@ -173,21 +174,13 @@ def write_fcidump(ham: MolecularHamiltonian, stream: IO[str] | None = None) -> s
         "  ISYM=1,",
         " &END",
     ]
-    for p in range(n):
-        for q in range(p + 1):
-            a = pair_index(p, q)
-            for r in range(p + 1):
-                for s in range(r + 1):
-                    if pair_index(r, s) > a:
-                        continue
-                    value = ham.g(p, q, r, s)
-                    if abs(value) > 1e-12:
-                        out.append(f"{value!r} {p + 1} {q + 1} {r + 1} {s + 1}")
-    for p in range(n):
-        for q in range(p + 1):
-            value = float(ham.one_body[p, q])
-            if abs(value) > 1e-12:
-                out.append(f"{value!r} {p + 1} {q + 1} 0 0")
+    p, q, pairs = pair_matrix(ham.two_body)
+    a, b = np.tril_indices(len(pairs))  # the canonical slots, in line order
+    for values, labels in ((pairs[a, b], (p[a] + 1, q[a] + 1, p[b] + 1, q[b] + 1)),
+                           (ham.one_body[p, q], (p + 1, q + 1, 0 * p, 0 * p))):
+        keep = np.abs(values) > 1e-12
+        columns = (x[keep].tolist() for x in (values, *labels))
+        out.extend(map("{!r} {} {} {} {}".format, *columns))
     out.append(f"{ham.core_constant!r} 0 0 0 0")
     text = "\n".join(out) + "\n"
     if stream is not None:
@@ -234,8 +227,6 @@ def _split_sections(lines: Iterable[str]) -> dict[str, np.ndarray]:
             if len(parts) != 4:
                 raise InputError(f"bad section header {stripped!r}")
             name = parts[1].upper()
-            if name not in _AUX_SECTIONS:
-                raise InputError(f"unknown section name {parts[1]!r}")
             if name in sections:
                 raise InputError(f"duplicate section {name}")
             try:
@@ -257,6 +248,9 @@ def _split_sections(lines: Iterable[str]) -> dict[str, np.ndarray]:
 def parse_auxiliary(text) -> AuxiliaryIntegrals:
     """Parse labeled-section auxiliary data into AuxiliaryIntegrals."""
     sections = _split_sections(_as_lines(text))
+    unknown = [name for name in sections if name not in _AUX_SECTIONS]
+    if unknown:
+        raise InputError(f"unknown section name {unknown[0]!r}")
     dipoles = [sections.get(f"DIPOLE_{axis}") for axis in "XYZ"]
     present = [d for d in dipoles if d is not None]
     if present and len(present) != 3:
@@ -295,31 +289,24 @@ def write_labeled_matrix(name: str, matrix: np.ndarray) -> str:
 
 
 def read_labeled_matrix(text, name: str | None = None) -> np.ndarray:
-    """Read one matrix back from labeled text (or a bare numeric table)."""
+    """Read one matrix back from labeled text (or a bare numeric table).
+
+    Labeled text follows the section rules of ``parse_auxiliary`` with any
+    section names; the result is section ``name``, or the last section.
+    """
     lines = _as_lines(text)
-    if any(line.strip().startswith("#SECTION") for line in lines):
-        header_re = re.compile(r"#SECTION\s+(\S+)\s+(\d+)\s+(\d+)")
-        collected = None
-        current = None
-        for raw in lines:
-            m = header_re.match(raw.strip())
-            if m:
-                current = (m.group(1).upper(), int(m.group(2)), int(m.group(3)), [])
-                if name is None or current[0] == name.upper():
-                    collected = current
-                continue
-            if current is not None and raw.strip():
-                current[3].extend(float(t) for t in raw.split())
-        if collected is None:
-            raise InputError(f"section {name!r} not found")
-        _, rows, cols, values = collected
-        if len(values) != rows * cols:
-            raise InputError(f"section {collected[0]}: wrong number of values")
-        return np.array(values).reshape(rows, cols)
-    rows = [[float(t) for t in line.split()] for line in lines if line.strip()]
-    if not rows:
-        raise InputError("empty matrix file")
-    return np.array(rows)
+    if not any(line.strip().startswith("#SECTION") for line in lines):
+        rows = [ln.split() for ln in lines if ln.strip()[:2] not in ("", "//")]
+        if not rows:
+            raise InputError("empty matrix file")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise InputError("matrix rows differ in length")
+        lines = [f"#SECTION {name or 'MATRIX'} {len(rows)} {len(rows[0])}", *lines]
+    sections = _split_sections(lines)
+    key = list(sections)[-1] if name is None else name.upper()
+    if key not in sections:
+        raise InputError(f"section {name!r} not found")
+    return sections[key]
 
 
 def write_auxiliary(aux: AuxiliaryIntegrals) -> str:

@@ -23,8 +23,9 @@ __all__ = [
     "AuxiliaryIntegrals",
     "ActiveSpaceSpec",
     "class_decomposition",
-    "fill_from_canonical",
+    "from_pair_matrix",
     "pair_index",
+    "pair_matrix",
     "symmetrize_two_body",
 ]
 
@@ -42,22 +43,27 @@ def pair_index(p, q):
     return hi * (hi + 1) // 2 + lo
 
 
-def fill_from_canonical(g: np.ndarray) -> np.ndarray:
-    """Read-only N^4 tensor with every symmetry image set to its canonical entry.
+def pair_matrix(g: np.ndarray):
+    """``(p, q, G)``: the P = N(N+1)/2 pairs p>=q in pair order and a fresh
+    (P, P) array G[a, b] = g[p[a], q[a], p[b], q[b]].
 
-    Only the canonical entries (p>=q, r>=s, pair(pq)>=pair(rs)) of ``g`` are
-    read: the (pq|rs) matrix over pairs p>=q is gathered, its upper triangle
-    is replaced by the transposed lower one, and the result is spread back
-    to every (p, q, r, s).  Values are copied, never combined.  No
-    writeable array shares the result's data, so ``MolecularHamiltonian``
-    stores it without a copy.
+    The one owner of the canonical layout (p>=q, r>=s, pair(pq)>=pair(rs)):
+    the canonical entries are G[a, b] with a >= b.
     """
     n = g.shape[0]
-    p, q = np.indices((n, n)).reshape(2, -1)
-    rows = np.flatnonzero(q <= p)  # flat (p, q) of the pairs p>=q, in pair order
-    pairs = np.take(np.take(g.reshape(n * n, n * n), rows, axis=0), rows, axis=1)
-    pairs = np.where(np.tri(rows.size, dtype=bool), pairs, pairs.T)
-    spread = pair_index(p, q)
+    flat = np.flatnonzero(np.tri(n, dtype=bool))  # p>=q row by row: pair order
+    p, q = np.divmod(flat, n)
+    return p, q, np.take(np.take(g.reshape(n * n, n * n), flat, axis=0), flat, axis=1)
+
+
+def from_pair_matrix(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Read-only N^4 tensor spread from the lower triangle of a pair matrix.
+
+    Values are copied, never combined.  No writeable array shares the
+    result's data, so ``MolecularHamiltonian`` stores it without a copy.
+    """
+    pairs = np.where(np.tri(len(pairs), dtype=bool), pairs, pairs.T)
+    spread = pair_index(*np.indices((n, n)).reshape(2, -1))
     out = np.take(np.take(pairs, spread, axis=0), spread, axis=1)
     out.setflags(write=False)
     return out.reshape(n, n, n, n)
@@ -78,7 +84,7 @@ def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
 
     Raises InputError if the tensor is not N^4, holds non-finite entries, or
     differs from its fill by more than SYMMETRY_TOL anywhere.  The fill is
-    read-only (see ``fill_from_canonical``).
+    read-only (see ``from_pair_matrix``).
     """
     dense = np.asarray(dense, dtype=float)
     n = dense.shape[0]
@@ -86,7 +92,7 @@ def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
         raise InputError(f"two-body tensor must be N^4, got {dense.shape}")
     if not np.isfinite(dense).all():
         raise InputError("two-body tensor contains non-finite entries")
-    filled = fill_from_canonical(dense)
+    filled = from_pair_matrix(pair_matrix(dense)[2], n)
     err = max(
         (float(np.max(np.abs(dense[b] - filled[b]))) for b in row_blocks(n, n**3)),
         default=0.0,

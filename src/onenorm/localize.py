@@ -52,7 +52,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConvergenceWarning, InputError
-from .integrals import AuxiliaryIntegrals, MolecularHamiltonian
+from .integrals import AuxiliaryIntegrals, MolecularHamiltonian, pair_matrix
 from .transform import (
     OrbitalRotation,
     lowdin_orthogonalize,
@@ -199,10 +199,8 @@ def _er_factors(g):
     with |s_k| <= 1e-14 max|s| are dropped.
     """
     n = g.shape[0]
-    rows, cols = np.tril_indices(n)
+    rows, cols, pair = pair_matrix(g)
     scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    flat = rows * n + cols
-    pair = g.reshape(n * n, n * n)[np.ix_(flat, flat)]
     pair *= np.outer(scale, scale)
     weights, vecs = np.linalg.eigh(pair)
     del pair  # freed before the stack is built: it lowers the peak RSS

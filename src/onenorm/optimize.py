@@ -98,7 +98,7 @@ class OptimizationResult:
     n_objective_calls: int
     n_gradient_calls: int
     start_scheme: str | None = None
-    stop_reason: str = ""  # scipy's message from the last round
+    stop_reason: str = ""  # scipy's last message, or the failure that ended the run
     n_restarts: int = 0  # rounds run after the first
 
     @property
@@ -121,7 +121,11 @@ def _window_rotation(n, window, kvec) -> OrbitalRotation:
         raise NumericalError("non-finite rotation parameters")
     if not np.any(kvec):
         return OrbitalRotation.identity(n)
-    block = exp_generator(AntisymmetricGenerator(dim=w, params=kvec)).matrix
+    try:
+        block = exp_generator(AntisymmetricGenerator(dim=w, params=kvec)).matrix
+    except InputError as exc:  # a solver step too long for expm, not bad input
+        kmax = np.max(np.abs(kvec))
+        raise NumericalError(f"exp(-K) lost orthogonality at max|K| = {kmax:.3g}: {exc}") from None
     full = np.eye(n)
     full[np.ix_(window, window)] = block
     return OrbitalRotation(full)
@@ -260,28 +264,31 @@ def minimize_norm(
     stop_reason, n_restarts = "no free parameters", 0
     if n_params:
         x_current = np.zeros(n_params)
-        for n_restarts in range(max(1, config.restarts + 1)):
-            before = tracked.best_value
-            result = scipy_minimize(
-                tracked,
-                x_current,
-                jac=tracked.gradient,
-                method=config.scipy_method,
-                callback=callback,
-                options={
-                    "maxiter": config.max_iterations,
-                    "ftol": config.convergence_tol,
-                },
-            )
-            stop_reason = str(result.message)
-            x_current = tracked.best_x.copy()
-            improvement = before - tracked.best_value
-            if result.success or improvement < config.convergence_tol:
-                converged = True
-                break
+        try:
+            for n_restarts in range(max(1, config.restarts + 1)):
+                before = tracked.best_value
+                result = scipy_minimize(
+                    tracked,
+                    x_current,
+                    jac=tracked.gradient,
+                    method=config.scipy_method,
+                    callback=callback,
+                    options={
+                        "maxiter": config.max_iterations,
+                        "ftol": config.convergence_tol,
+                    },
+                )
+                stop_reason = str(result.message)
+                x_current = tracked.best_x.copy()
+                improvement = before - tracked.best_value
+                if result.success or improvement < config.convergence_tol:
+                    converged = True
+                    break
+        except NumericalError as exc:  # a trial point failed: keep the best one
+            stop_reason = f"stopped at the best point: {exc}"
         if not converged:
             warnings.warn(
-                "1-norm optimization still improving at the restart cap; "
+                f"1-norm optimization did not converge ({stop_reason}); "
                 "returning the best point found",
                 ConvergenceWarning,
                 stacklevel=2,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from onenorm import AuxiliaryIntegrals, MolecularHamiltonian
-from onenorm.integrals import fill_from_canonical
+from onenorm.integrals import from_pair_matrix, pair_matrix
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -49,7 +49,8 @@ def random_hamiltonian(n, rng, core=None, scale=1.0):
     if core is None:
         core = float(rng.standard_normal())
     return MolecularHamiltonian(
-        n_orbitals=n, core_constant=core, one_body=h, two_body=fill_from_canonical(g)
+        n_orbitals=n, core_constant=core, one_body=h,
+        two_body=from_pair_matrix(pair_matrix(g)[2], n),
     )
 
 

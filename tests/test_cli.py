@@ -6,6 +6,7 @@ import pytest
 
 from onenorm import write_fcidump
 from onenorm.cli import run
+from onenorm.fcidump import write_labeled_matrix
 
 from conftest import H2_FCIDUMP, random_hamiltonian, random_psd_hamiltonian, requires_fixtures
 
@@ -310,3 +311,34 @@ def test_norm_on_h2_fixture(capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["lambda_Q_no_const"] - 101.0) <= 1.0
+
+
+def test_optimizer_numerical_failure_exits_2_under_strict(capsys, tmp_path):
+    rng = np.random.default_rng(5)
+    hams = [random_hamiltonian(int(rng.integers(3, 6)), rng) for _ in range(12)]
+    path = tmp_path / "knife.fcidump"
+    path.write_text(write_fcidump(hams[7]))
+    argv = ["optimize", str(path), "--start", "current",
+            "--algorithm", "sequential-quadratic"]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert not payload["converged"] and "orthogonality" in payload["stop_reason"]
+    code, _, err = invoke(capsys, "--strict", *argv)
+    assert code == 2
+    assert "orthogonality" in err
+
+
+def test_rotate_rejects_malformed_matrix_files(capsys, tmp_path, small_fcidump):
+    path, _ = small_fcidump
+    bad = {
+        "non-numeric": "1 x\n0 1\n",
+        "differ in length": "1 0\n0\n",
+        "duplicate section": write_labeled_matrix("ROTATION", np.eye(3)) * 2,
+    }
+    for message, text in bad.items():
+        matrix_path = tmp_path / "m.txt"
+        matrix_path.write_text(text)
+        code, _, err = invoke(capsys, "rotate", path, "--matrix", str(matrix_path))
+        assert code == 1
+        assert err.startswith("error:") and message in err

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onenorm import (
+    LocalizationRequest,
+    localize,
     parse_auxiliary,
     parse_fcidump,
     rotate_hamiltonian,
@@ -15,8 +17,17 @@ from onenorm import (
 )
 from onenorm.errors import DataWarning, InputError
 from onenorm.fcidump import read_labeled_matrix, write_labeled_matrix
+from onenorm.integrals import from_pair_matrix, pair_index, pair_matrix
 
-from conftest import random_aux, random_hamiltonian, random_orthogonal
+from conftest import (
+    CHAIN_SIZES,
+    H2_FCIDUMP,
+    chain_path,
+    random_aux,
+    random_hamiltonian,
+    random_orthogonal,
+    requires_fixtures,
+)
 
 
 def test_single_orbital_direct_read():
@@ -207,3 +218,126 @@ def test_bare_matrix_read():
     assert np.array_equal(
         read_labeled_matrix("1 2\n3 4\n"), np.array([[1.0, 2.0], [3.0, 4.0]])
     )
+
+
+def reference_write_fcidump(ham):
+    """The four-loop writer: one line per canonical tuple, index by index."""
+    n = ham.n_orbitals
+    nelec = ham.n_electrons if ham.n_electrons is not None else 0
+    out = [
+        f" &FCI NORB={n},NELEC={nelec},MS2=0,",
+        "  ORBSYM=" + "1," * n,
+        "  ISYM=1,",
+        " &END",
+    ]
+    for p in range(n):
+        for q in range(p + 1):
+            a = pair_index(p, q)
+            for r in range(p + 1):
+                for s in range(r + 1):
+                    if pair_index(r, s) > a:
+                        continue
+                    value = ham.g(p, q, r, s)
+                    if abs(value) > 1e-12:
+                        out.append(f"{value!r} {p + 1} {q + 1} {r + 1} {s + 1}")
+    for p in range(n):
+        for q in range(p + 1):
+            value = float(ham.one_body[p, q])
+            if abs(value) > 1e-12:
+                out.append(f"{value!r} {p + 1} {q + 1} 0 0")
+    out.append(f"{ham.core_constant!r} 0 0 0 0")
+    return "\n".join(out) + "\n"
+
+
+def test_writer_matches_reference_on_random_instances(rng):
+    above = float(np.nextafter(1e-12, 1.0))
+    edges = np.array([1e-12, -1e-12, above, -above, 0.0, -0.0])
+    for n in range(1, 8):
+        ham = random_hamiltonian(n, rng)
+        # put the threshold edges on random canonical slots of g and on h
+        p, q, pairs = pair_matrix(ham.two_body)
+        a, b = np.tril_indices(len(pairs))
+        picks = rng.choice(len(a), size=min(len(a), len(edges)), replace=False)
+        pairs[a[picks], b[picks]] = edges[: len(picks)]
+        h = ham.one_body.copy()
+        h[p[: len(edges)], q[: len(edges)]] = edges[: len(p)]
+        h[q[: len(edges)], p[: len(edges)]] = edges[: len(p)]
+        ham = ham.replace(one_body=h, two_body=from_pair_matrix(pairs, n))
+        text = write_fcidump(ham)
+        assert text == reference_write_fcidump(ham)
+        assert "1e-12 " not in text
+        assert n == 1 or f"{above!r} " in text
+
+
+@requires_fixtures
+def test_writer_matches_reference_on_localized_chains():
+    for n in CHAIN_SIZES:
+        ham = parse_fcidump(open(chain_path(n)).read())
+        er = localize(ham, None, None, LocalizationRequest(scheme="er"))
+        assert write_fcidump(er.hamiltonian) == reference_write_fcidump(er.hamiltonian)
+
+
+@requires_fixtures
+def test_shipped_fixtures_reproduce_through_parse_and_write():
+    # the fixtures were written by the generator's own writer
+    for path in [H2_FCIDUMP] + [chain_path(n) for n in CHAIN_SIZES]:
+        text = open(path).read()
+        assert write_fcidump(parse_fcidump(text)) == text, path
+
+
+def test_every_index_image_lands_in_the_canonical_slot(rng):
+    n = 4
+    ham = random_hamiltonian(n, rng)
+    canonical = [
+        line.split() for line in write_fcidump(ham).splitlines()[4:]
+        if line.split()[3:] != ["0", "0"]
+    ]
+    assert len(canonical) == 55  # every canonical tuple of N = 4
+    images = (
+        lambda i, j, k, l: (i, j, k, l), lambda i, j, k, l: (j, i, k, l),
+        lambda i, j, k, l: (i, j, l, k), lambda i, j, k, l: (j, i, l, k),
+        lambda i, j, k, l: (k, l, i, j), lambda i, j, k, l: (l, k, i, j),
+        lambda i, j, k, l: (k, l, j, i), lambda i, j, k, l: (l, k, j, i),
+    )
+    for image in images:
+        body = [
+            " ".join([value, *image(*idx)]) for value, *idx in canonical
+        ]
+        text = " &FCI NORB=4,NELEC=2,\n &END\n" + "\n".join(body) + "\n0.0 0 0 0 0\n"
+        assert np.array_equal(parse_fcidump(text).two_body, ham.two_body)
+
+
+def test_conflicting_duplicate_warning_names_its_line():
+    text = (
+        " &FCI NORB=3,NELEC=2,\n &END\n"
+        "0.25 2 1 3 1\n"
+        "0.5 1 1 0 0\n"
+        "0.25 1 3 1 2\n"  # an agreeing image: silent
+        "0.75 3 1 2 1\n"  # line 6, a conflicting image of line 3
+        "0.5 2 1 0 0\n"
+        "0.125 1 2 0 0\n"  # line 8, a conflicting image of line 7
+        "0.0 0 0 0 0\n"
+    )
+    with pytest.warns(DataWarning) as caught:
+        ham = parse_fcidump(text)
+    messages = [str(w.message) for w in caught]
+    assert messages == [
+        "line 6: conflicting duplicate for g[3,1,2,1] (0.25 -> 0.75)",
+        "line 8: conflicting duplicate for h[1,2] (0.5 -> 0.125)",
+    ]
+    assert ham.g(1, 0, 2, 0) == 0.75 and ham.one_body[0, 1] == 0.125
+
+
+def test_labeled_matrix_follows_the_section_rules():
+    text = (
+        "// written by hand\n"
+        + write_labeled_matrix("FIRST", np.eye(2))
+        + "// the last section is the default\n"
+        + write_labeled_matrix("ROTATION", [[0.0, 1.0], [1.0, 0.0]])
+    )
+    assert np.array_equal(read_labeled_matrix(text), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(read_labeled_matrix(text, "first"), np.eye(2))
+    with pytest.raises(InputError, match="duplicate section ROTATION"):
+        read_labeled_matrix(text + write_labeled_matrix("rotation", np.eye(2)))
+    with pytest.raises(InputError, match="expected 4 values"):
+        read_labeled_matrix("#SECTION ROTATION 2 2\n1 0 0\n")

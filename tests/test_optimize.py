@@ -12,7 +12,7 @@ from onenorm import (
     parse_fcidump,
     rotate_hamiltonian,
 )
-from onenorm.errors import InputError
+from onenorm.errors import ConvergenceWarning, InputError
 
 from conftest import chain_path, random_aux, random_hamiltonian, requires_fixtures
 
@@ -241,3 +241,18 @@ def test_stop_reason_records_lbfgsb_stall_on_h20():
     assert result.converged
     assert result.trace[-1].grad_inf_norm == pytest.approx(8.5, abs=0.05)
 
+
+def test_lost_orthogonality_ends_the_run_at_the_best_point():
+    # SLSQP steps this instance to max|K| ~ 3e6, where exp(-K) is no
+    # longer orthogonal to 1e-10: a numerical failure, not bad input
+    rng = np.random.default_rng(5)
+    hams = [random_hamiltonian(int(rng.integers(3, 6)), rng) for _ in range(12)]
+    config = OptimizerConfig(algorithm="sequential-quadratic", start_from="current")
+    with pytest.warns(ConvergenceWarning, match="orthogonality"):
+        result = minimize_norm(hams[7], config)
+    assert not result.converged
+    assert "lost orthogonality" in result.stop_reason
+    assert result.lambda_final <= result.lambda_start
+    u = result.rotation.matrix
+    assert np.max(np.abs(u.T @ u - np.eye(len(u)))) < 1e-10
+    assert lambda_q(result.hamiltonian) == pytest.approx(result.lambda_final, rel=1e-10)

@@ -1,10 +1,13 @@
 """Smoke runs of the experiment scripts on the H2-H4 chains."""
 
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
+
+from onenorm import parse_auxiliary, parse_fcidump, write_fcidump
 
 from conftest import FIXTURE_DIR, chain_path, requires_fixtures
 
@@ -47,3 +50,20 @@ def test_table_benchmark_runs_every_scheme_with_ascent():
         assert done.returncode == 0, done.stderr
         rows = json.loads(done.stdout)
         assert [row["label"] for row in rows] == ["cmo", "er", "fb", "pm", "oao"]
+
+
+def test_fixture_generator_output_reproduces_through_parse_and_write(tmp_path):
+    # the generator has its own writers, so its files check the package's
+    spec = importlib.util.spec_from_file_location(
+        "generate_fixtures", os.path.join(ROOT, "scripts", "generate_fixtures.py")
+    )
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    for n in (2, 3, 4):
+        generator.chain_fixture(str(tmp_path), n)
+        text = (tmp_path / f"hchain_{n:02d}_sto3g_cmo.fcidump").read_text()
+        ham = parse_fcidump(text)
+        assert ham.n_orbitals == n
+        assert write_fcidump(ham) == text
+        aux = parse_auxiliary((tmp_path / f"hchain_{n:02d}_sto3g_aux.txt").read_text())
+        assert aux.n_ao == n and aux.atomic_numbers == (1.0,) * n

@@ -20,7 +20,7 @@ from onenorm import (
     transform_two_body,
 )
 from onenorm.errors import InputError, NumericalError
-from onenorm.integrals import fill_from_canonical
+from onenorm.integrals import from_pair_matrix, pair_matrix
 from onenorm.transform import givens_rotation
 
 from conftest import chain_path, random_hamiltonian, random_orthogonal, requires_fixtures
@@ -162,7 +162,7 @@ def staged_einsum_transform(g, c):
     out = np.einsum("pbcd,bq->pqcd", out, c, optimize=True)
     out = np.einsum("pqcd,cr->pqrd", out, c, optimize=True)
     out = np.einsum("pqrd,ds->pqrs", out, c, optimize=True)
-    return fill_from_canonical(out)
+    return from_pair_matrix(pair_matrix(out)[2], len(out))
 
 
 def test_transform_two_body_matches_staged_einsum_bitwise(rng):
