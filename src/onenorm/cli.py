@@ -58,8 +58,11 @@ def _load_aux(path: str | None):
 def _write_output(path: str | None, text: str):
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _emit(args, payload, csv_text: str | None = None):
@@ -319,19 +322,17 @@ def _cmd_oracle_check(args):
 
 
 def _cmd_scaling_fit(args):
-    text = _read_text(args.csv_file)
+    lines = enumerate(_read_text(args.csv_file).splitlines(), 1)
+    rows = [(number, line.strip()) for number, line in lines if line.strip()]
     points = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        tokens = line.replace(",", " ").split()
+    for index, (number, line) in enumerate(rows):
         try:
-            values = [float(t) for t in tokens[:2]]
+            n, lam = (float(t) for t in line.replace(",", " ").split()[:2])
         except ValueError:
-            continue  # header row
-        if len(values) == 2:
-            points.append(tuple(values))
+            if index == 0:
+                continue  # header row
+            raise InputError(f"line {number} is not a row of N, lambda: {line!r}") from None
+        points.append((n, lam))
     fit = analysis.fit_scaling(points)
     _emit(args, fit.to_dict())
     return 0

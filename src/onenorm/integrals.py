@@ -26,6 +26,7 @@ __all__ = [
     "from_pair_matrix",
     "pair_index",
     "pair_matrix",
+    "pair_stack",
     "symmetrize_two_body",
 ]
 
@@ -67,6 +68,15 @@ def from_pair_matrix(pairs: np.ndarray, n: int) -> np.ndarray:
     out = np.take(np.take(pairs, spread, axis=0), spread, axis=1)
     out.setflags(write=False)
     return out.reshape(n, n, n, n)
+
+
+def pair_stack(rows: np.ndarray, n: int) -> np.ndarray:
+    """(K, N, N) symmetric matrices spread from K rows over the pairs of
+    ``pair_matrix``: M_k[p, q] = M_k[q, p] = rows[k, pair(p, q)]."""
+    p, q = np.tril_indices(n)  # p>=q row by row: pair order
+    mats = np.zeros((len(rows), n, n))
+    mats[:, p, q] = mats[:, q, p] = rows
+    return mats
 
 
 def row_blocks(n_rows: int, row_size: int) -> list[slice]:

@@ -11,7 +11,7 @@ in the angle,
     f(theta) = const + A cos(4 theta) + B sin(4 theta),
 
 so the optimal angle per pair is closed-form: 4 theta* = atan2(B, A).
-A pair with A = B = 0 is flat and is skipped.
+A pair whose A and B are rounding noise is flat and is skipped.
 
   ER  maximizes sum_{p in window} (pp|pp), the orbital self-repulsion.
       Any factorization g = sum_k s_k M_k (x) M_k gives
@@ -32,12 +32,11 @@ explicit window it leaves out sum_{p not in window} (pp|pp), a constant
 that no window rotation changes.
 
 ``method="jacobi"`` runs :func:`_jacobi` on the stack for all three
-schemes, and ``method="ascent"`` runs gradient ascent on the stack for FB
-and PM.  ER ascent keeps rotating the two-electron tensor itself: the
-orbital optimizer starts from its result, and SLSQP on H2/cc-pVDZ is so
-sensitive to the last bits of that start that running the ascent on the
-stack instead (a start 4e-9 relative away) took it from 154 to 1838
-objective calls.
+schemes, and ``method="ascent"`` runs :func:`_ascend`: on the stack for FB
+and PM, on the two-electron tensor itself for ER.  The orbital optimizer
+starts from the ER result, and SLSQP on H2/cc-pVDZ is so sensitive to the
+last bits of that start that running the ascent on the stack instead (a
+start 4e-9 relative away) took it from 154 to 1838 objective calls.
 
 OAO ignores the window: it returns the rotation carrying the current MO
 basis onto the symmetrically orthogonalized AOs, C^-1 S^(-1/2).
@@ -52,7 +51,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConvergenceWarning, InputError
-from .integrals import AuxiliaryIntegrals, MolecularHamiltonian, pair_matrix
+from .integrals import AuxiliaryIntegrals, MolecularHamiltonian, pair_matrix, pair_stack
 from .transform import (
     OrbitalRotation,
     lowdin_orthogonalize,
@@ -83,7 +82,11 @@ class LocalizationRequest:
     gradient ascent, converges to the stationary point nearest the
     starting basis, the way Newton-style localizers in production
     chemistry codes behave).  Both never decrease the objective.
-    ``max_sweeps`` caps Jacobi sweeps and ascent iterations alike.
+    ``max_sweeps`` caps Jacobi sweeps and ascent iterations alike.  A
+    start whose gradient vanishes is stationary for "ascent", which
+    returns it after 0 iterations: FB on centrosymmetric canonical
+    orbitals (<p|r|p> = 0) and PM with populations equal by symmetry.
+    Use "jacobi" for FB and PM there.
     """
 
     scheme: str
@@ -128,7 +131,12 @@ class LocalizationResult:
 
 def cost_er(ham: MolecularHamiltonian) -> float:
     """Self-repulsion functional sum_p (pp|pp)."""
-    return float(np.sum(np.einsum("pppp->p", ham.two_body_dense()), dtype=np.longdouble))
+    return _self_repulsion(ham.two_body_dense(), range(ham.n_orbitals))
+
+
+def _self_repulsion(g, window) -> float:
+    """sum_{p in window} (pp|pp): the ER objective, and its ascent cost."""
+    return float(np.sum(np.einsum("pppp->p", g)[list(window)], dtype=np.longdouble))
 
 
 def _mo_dipoles(coeff, aux: AuxiliaryIntegrals):
@@ -198,17 +206,13 @@ def _er_factors(g):
     the tensor need not be PSD: negative s_k are kept as they are.  Modes
     with |s_k| <= 1e-14 max|s| are dropped.
     """
-    n = g.shape[0]
     rows, cols, pair = pair_matrix(g)
     scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
     pair *= np.outer(scale, scale)
     weights, vecs = np.linalg.eigh(pair)
     del pair  # freed before the stack is built: it lowers the peak RSS
     keep = np.abs(weights) > 1e-14 * np.max(np.abs(weights))
-    mats = np.zeros((int(np.count_nonzero(keep)), n, n))
-    mats[:, rows, cols] = (vecs[:, keep] / scale[:, np.newaxis]).T
-    mats[:, cols, rows] = mats[:, rows, cols]
-    return mats, weights[keep]
+    return pair_stack((vecs[:, keep] / scale[:, np.newaxis]).T, g.shape[0]), weights[keep]
 
 
 def _objective_stack(ham, coeff, aux, scheme):
@@ -257,8 +261,11 @@ def _jacobi(mats, weights, window, request):
     f(theta) - f(0) with f(theta) = const + A cos(4 theta) + B sin(4 theta),
     where, for d_k = (M_k)_ii - (M_k)_jj and v_k = (M_k)_ij,
     A = sum_k w_k (d_k^2 / 4 - v_k^2) and B = -sum_k w_k d_k v_k.  Its
-    maximum is hypot(A, B) - A above f(0); a pair with A = B = 0 is flat.
+    maximum is hypot(A, B) - A above f(0).  A pair is flat when hypot(A, B)
+    is at most 1e-12 sum_k |w_k| (d_k^2 / 4 + v_k^2), the size of the terms
+    that cancel in A and B, so rounding noise picks no angle.
     """
+    abs_weights = np.abs(weights)
     u = np.eye(mats.shape[1])
     log = [_stack_objective(mats, weights, window)]
     converged = False
@@ -268,10 +275,13 @@ def _jacobi(mats, weights, window, request):
         for i, j in _sweep_pairs(window, sweep, request.seed):
             diff = mats[:, i, i] - mats[:, j, j]
             off = mats[:, i, j]
-            a = 0.25 * float((weights * diff) @ diff) - float((weights * off) @ off)
-            b = -float((weights * diff) @ off)
+            weighted = weights * diff
+            a = 0.25 * float(weighted @ diff) - float((weights * off) @ off)
+            b = -float(weighted @ off)
             theta = 0.25 * float(np.arctan2(b, a))
-            if float(np.hypot(a, b)) - a <= 0.0 or theta == 0.0:
+            amplitude = float(np.hypot(a, b))
+            scale = 0.25 * float((abs_weights * diff) @ diff) + float((abs_weights * off) @ off)
+            if amplitude <= 1e-12 * scale or amplitude - a <= 0.0 or theta == 0.0:
                 continue
             c, s = float(np.cos(theta)), float(np.sin(theta))
             # M_k <- G^T M_k G (columns, then rows) and U <- U G
@@ -286,29 +296,30 @@ def _jacobi(mats, weights, window, request):
     return u, log, converged, sweeps
 
 
-def _ascend(state_cost, state_gradient, state_step, n, window, request):
+def _ascend(state, rotate, cost, gradient, window, request):
     """Monotone gradient ascent over window rotations.
 
-    ``state_cost()`` evaluates the objective, ``state_gradient()`` its
+    ``cost(state)`` evaluates the objective, ``gradient(state)`` its
     derivative with respect to an antisymmetric generator (columns
-    convention), ``state_step(u_step)`` applies a rotation to the working
-    state.  Steps that fail to improve are halved; the accumulated
-    rotation and the per-iteration objective log are returned.
+    convention), and ``rotate(state, u_step)`` returns the state in the
+    rotated basis.  A trial step that improves the objective becomes the
+    state as it is; one that does not is halved.  The accumulated rotation
+    and the per-iteration objective log are returned.
     """
+    n = state.shape[-1]
     mask = np.zeros((n, n), dtype=bool)
     mask[np.ix_(window, window)] = True
     u = np.eye(n)
-    cost = state_cost()
-    log = [cost]
+    value = cost(state)
+    log = [value]
     eta = None
     converged = False
     iterations = 0
     stalls = 0
     for _ in range(request.max_sweeps):
-        grad = state_gradient()
-        grad = np.where(mask, grad, 0.0)
+        grad = np.where(mask, gradient(state), 0.0)
         gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        scale = max(1.0, abs(cost))
+        scale = max(1.0, abs(value))
         if gnorm <= max(request.convergence_tol, 1e-13) * scale:
             converged = True
             break
@@ -317,13 +328,14 @@ def _ascend(state_cost, state_gradient, state_step, n, window, request):
         improved = False
         while eta * gnorm >= 1e-15:
             u_step = expm(eta * grad)
-            trial_cost = state_step(u_step, trial=True)
-            if trial_cost > cost:
-                state_step(u_step, trial=False)
+            trial = rotate(state, u_step)
+            trial_value = cost(trial)
+            if trial_value > value:
+                state = trial
                 u = u @ u_step
-                gain = trial_cost - cost
-                cost = trial_cost
-                log.append(cost)
+                gain = trial_value - value
+                value = trial_value
+                log.append(value)
                 eta *= 1.25
                 improved = True
                 stalls = stalls + 1 if gain < request.convergence_tol * scale else 0
@@ -336,41 +348,10 @@ def _ascend(state_cost, state_gradient, state_step, n, window, request):
     return u, log, converged, iterations
 
 
-def _er_window_cost(g, window) -> float:
-    return float(np.sum(np.einsum("pppp->p", g)[list(window)], dtype=np.longdouble))
-
-
-def _ascent_er(ham: MolecularHamiltonian, window, request):
-    g = ham.two_body_dense()
-
-    def gradient():
-        raw = 4.0 * np.einsum("pppq->qp", g)
-        return raw - raw.T
-
-    def step(u_step, trial):
-        nonlocal g
-        rotated = transform_two_body(g, u_step)
-        if trial:
-            return _er_window_cost(rotated, window)
-        g = rotated
-        return None
-
-    return _ascend(lambda: _er_window_cost(g, window), gradient, step,
-                   ham.n_orbitals, window, request)
-
-
-def _ascent_stack(mats, weights, window, request):
-    def step(u_step, trial):
-        nonlocal mats
-        rotated = u_step.T @ mats @ u_step
-        if trial:
-            return _stack_objective(rotated, weights, window)
-        mats = rotated
-        return None
-
-    return _ascend(lambda: _stack_objective(mats, weights, window),
-                   lambda: _stack_gradient(mats, weights, window),
-                   step, mats.shape[1], window, request)
+def _er_gradient(g):
+    """Ascent gradient of sum_p (pp|pp): R_qp - R_pq with R_qp = 4 (pp|pq)."""
+    raw = 4.0 * np.einsum("pppq->qp", g)
+    return raw - raw.T
 
 
 def _localize_oao(ham, coeff, aux, request):
@@ -432,12 +413,21 @@ def localize(
             objective_per_sweep=(),
         )
 
-    if request.scheme == "er" and request.method == "ascent":
-        u, log, converged, sweeps = _ascent_er(ham, window, request)
+    if request.method == "jacobi":
+        mats, weights = _objective_stack(ham, coeff, aux, request.scheme)
+        u, log, converged, sweeps = _jacobi(mats, weights, window, request)
+    elif request.scheme == "er":
+        u, log, converged, sweeps = _ascend(
+            ham.two_body_dense(), transform_two_body,
+            lambda g: _self_repulsion(g, window), _er_gradient, window, request,
+        )
     else:
         mats, weights = _objective_stack(ham, coeff, aux, request.scheme)
-        engine = _jacobi if request.method == "jacobi" else _ascent_stack
-        u, log, converged, sweeps = engine(mats, weights, window, request)
+        u, log, converged, sweeps = _ascend(
+            mats, lambda m, v: v.T @ m @ v,
+            lambda m: _stack_objective(m, weights, window),
+            lambda m: _stack_gradient(m, weights, window), window, request,
+        )
 
     if not converged:
         warnings.warn(

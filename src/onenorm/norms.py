@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPositiveSemidefiniteError
-from .integrals import MolecularHamiltonian, class_decomposition, row_blocks
+from .integrals import (
+    MolecularHamiltonian, class_decomposition, pair_matrix, pair_stack, row_blocks,
+)
 
 __all__ = [
     "NormReport",
@@ -221,43 +223,33 @@ def cholesky_decompose(
 ) -> CholeskyFactorization:
     """Diagonal-pivoted Cholesky of the two-electron tensor.
 
-    Stops when the largest remaining diagonal drops to ``tolerance``.
-    Diagonal entries below -10*tolerance mean the tensor is not positive
-    semi-definite (beyond round-off slack) and raise.
+    Runs on the (pq|rs) pair matrix of ``pair_matrix``.  The N^2 x N^2
+    matrix g_(pq),(rs) repeats the row of every pair p != q, so it gives
+    the same vectors; pivot ties go to the pair that comes first there,
+    the smaller (q, p).  Stops when the largest remaining diagonal drops to
+    ``tolerance``.  Diagonal entries below -10*tolerance mean the tensor
+    is not positive semi-definite (beyond round-off slack) and raise.
     """
     n = ham.n_orbitals
-    dim = n * n
-    g = ham.two_body_dense().reshape(dim, dim)
-    diag = np.diagonal(g).copy()
-    vectors: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    for _ in range(dim):
+    p, q, pairs = pair_matrix(ham.two_body_dense())
+    order = np.argsort(q * n + p)
+    diag = np.diagonal(pairs).copy()
+    factor = np.zeros(pairs.shape)  # zero pages: only the rows written take memory
+    for rank in range(len(pairs) + 1):
         if diag.min() < -10.0 * tolerance:
             raise NotPositiveSemidefiniteError(
                 "two-electron tensor is not positive semi-definite "
                 f"(diagonal reached {diag.min():.3e})"
             )
-        pivot = int(np.argmax(diag))
-        d = diag[pivot]
-        if d <= tolerance:
+        pivot = int(order[np.argmax(diag[order])])
+        if rank == len(pairs) or diag[pivot] <= tolerance:
             break
-        column = g[:, pivot].copy()
-        for vec in rows:
-            column -= vec * vec[pivot]
-        vec = column / np.sqrt(d)
-        rows.append(vec)
-        diag = diag - vec * vec
+        vec = (pairs[:, pivot] - factor[:rank, pivot] @ factor[:rank]) / np.sqrt(diag[pivot])
+        factor[rank] = vec
+        diag -= vec * vec
         diag[pivot] = 0.0
-        vectors.append(vec.reshape(n, n))
-    if diag.min() < -10.0 * tolerance:
-        raise NotPositiveSemidefiniteError(
-            "two-electron tensor is not positive semi-definite "
-            f"(diagonal reached {diag.min():.3e})"
-        )
-    residual = float(diag.max()) if dim else 0.0
-    return CholeskyFactorization(
-        vectors=tuple(vectors), residual=residual, tolerance=tolerance
-    )
+    vectors = tuple(pair_stack(factor[:rank], n))
+    return CholeskyFactorization(vectors=vectors, residual=float(diag.max()), tolerance=tolerance)
 
 
 def lambda_sf(factorization: CholeskyFactorization) -> float:

@@ -223,6 +223,47 @@ def test_scaling_fit_subcommand(capsys, tmp_path):
     assert payload["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_scaling_fit_rejects_a_bad_row_after_the_header(capsys, tmp_path):
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text("n,lambda\n2,4\n3,abc\n4,16\n6,x9\n8,64\n")
+    code, out, err = invoke(capsys, "scaling-fit", "--csv", str(csv_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "line 3" in err and "3,abc" in err
+    csv_path.write_text("\n2,4\n3,9\n4\n")
+    code, _, err = invoke(capsys, "scaling-fit", "--csv", str(csv_path))
+    assert code == 1 and "line 4" in err
+
+
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, small_fcidump):
+    path, _ = small_fcidump
+    target = str(tmp_path / "missing" / "out.fcidump")
+    code, _, err = invoke(capsys, "localize", path, "--scheme", "er", "-o", target)
+    assert code == 1
+    assert err.startswith("error: cannot write") and "out.fcidump" in err
+
+
+@requires_fixtures
+@pytest.mark.parametrize("module", ["onenorm", "onenorm.cli"])
+def test_entry_points_exit_codes(module):
+    import subprocess
+    import sys
+
+    from conftest import chain_path
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+    def exit_code(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, timeout=120
+        ).returncode
+
+    assert exit_code("norm", chain_path(4)) == 0
+    assert exit_code("norm", chain_path(4) + ".missing") == 1
+    assert exit_code("--strict", "localize", chain_path(4), "--scheme", "er",
+                     "--max-sweeps", "1") == 2
+
+
 def test_report_subcommand(capsys, tmp_path, rng):
     paths = {}
     for label in ("cmo", "loc"):

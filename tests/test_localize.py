@@ -374,3 +374,184 @@ def test_jacobi_leaves_a_flat_pair_alone():
     assert np.array_equal(u, np.eye(2))
     assert log == [2.0, 2.0]
     assert converged and sweeps == 1
+
+
+def test_jacobi_skips_a_pair_flat_up_to_rounding():
+    # the first two matrices cancel in A and B exactly; the third leaves
+    # A and B of about 1e-17 against a pair scale of 2, below the 1e-12
+    # flatness floor, so rounding noise picks no angle
+    from onenorm.localize import _jacobi
+
+    mats = np.array([
+        [[1.0, 0.0], [0.0, -1.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[4e-9, 4e-9], [4e-9, 0.0]],
+    ])
+    u, _, converged, sweeps = _jacobi(
+        mats, np.ones(3), (0, 1), LocalizationRequest(scheme="fb")
+    )
+    assert np.array_equal(u, np.eye(2))
+    assert converged and sweeps == 1
+
+
+def _two_phase_ascend(state_cost, state_gradient, state_step, n, window, request):
+    """The former ascent: every accepted step is transformed a second time."""
+    from scipy.linalg import expm
+
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.ix_(window, window)] = True
+    u = np.eye(n)
+    cost = state_cost()
+    log = [cost]
+    eta = None
+    converged = False
+    iterations = 0
+    stalls = 0
+    for _ in range(request.max_sweeps):
+        grad = state_gradient()
+        grad = np.where(mask, grad, 0.0)
+        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+        scale = max(1.0, abs(cost))
+        if gnorm <= max(request.convergence_tol, 1e-13) * scale:
+            converged = True
+            break
+        if eta is None:
+            eta = 0.2 / gnorm
+        improved = False
+        while eta * gnorm >= 1e-15:
+            u_step = expm(eta * grad)
+            trial_cost = state_step(u_step, trial=True)
+            if trial_cost > cost:
+                state_step(u_step, trial=False)
+                u = u @ u_step
+                gain = trial_cost - cost
+                cost = trial_cost
+                log.append(cost)
+                eta *= 1.25
+                improved = True
+                stalls = stalls + 1 if gain < request.convergence_tol * scale else 0
+                break
+            eta *= 0.5
+        iterations += 1
+        if not improved or stalls >= 3:
+            converged = True
+            break
+    return u, log, converged, iterations
+
+
+def _two_phase_ascent(ham, coeff, aux, request):
+    """The former ER (tensor) and FB/PM (stack) ascent wrappers."""
+    from onenorm.localize import _objective_stack, _stack_gradient, _stack_objective
+    from onenorm.transform import transform_two_body
+
+    window = request.resolve_window(ham.n_orbitals)
+    if request.scheme == "er":
+        state = ham.two_body_dense()
+
+        def cost(g):
+            return float(np.sum(np.einsum("pppp->p", g)[list(window)], dtype=np.longdouble))
+
+        def gradient(g):
+            raw = 4.0 * np.einsum("pppq->qp", g)
+            return raw - raw.T
+
+        rotate = transform_two_body
+    else:
+        state, weights = _objective_stack(ham, coeff, aux, request.scheme)
+
+        def cost(m):
+            return _stack_objective(m, weights, window)
+
+        def gradient(m):
+            return _stack_gradient(m, weights, window)
+
+        def rotate(m, v):
+            return v.T @ m @ v
+
+    def step(u_step, trial):
+        nonlocal state
+        rotated = rotate(state, u_step)
+        if trial:
+            return cost(rotated)
+        state = rotated
+        return None
+
+    return _two_phase_ascend(lambda: cost(state), lambda: gradient(state), step,
+                             ham.n_orbitals, window, request)
+
+
+def _assert_ascent_matches_two_phase(ham, coeff, aux, request):
+    u, log, converged, sweeps = _two_phase_ascent(ham, coeff, aux, request)
+    result = localize(ham, coeff, aux, request)
+    assert np.array_equal(result.rotation.matrix, u)
+    assert result.objective_per_sweep == tuple(log)
+    assert (result.converged, result.sweeps) == (converged, sweeps)
+
+
+@pytest.mark.filterwarnings("ignore::onenorm.errors.ConvergenceWarning")
+@pytest.mark.parametrize("scheme", ["er", "fb", "pm"])
+@pytest.mark.parametrize("n, window", [(4, None), (5, (0, 2, 3)), (6, None)])
+def test_ascent_matches_the_two_phase_ascent_bitwise(rng, scheme, n, window):
+    ham = random_hamiltonian(n, rng)
+    aux = random_aux(n, rng)
+    request = LocalizationRequest(scheme=scheme, method="ascent", window=window)
+    _assert_ascent_matches_two_phase(ham, aux.mo_coefficients, aux, request)
+
+
+@requires_fixtures
+@pytest.mark.parametrize("scheme", ["er", "fb", "pm"])
+def test_h2_ascent_matches_the_two_phase_ascent_bitwise(scheme):
+    from conftest import H2_AUX, H2_FCIDUMP
+
+    from onenorm import parse_auxiliary, parse_fcidump
+
+    ham = parse_fcidump(open(H2_FCIDUMP).read())
+    aux = parse_auxiliary(open(H2_AUX).read())
+    request = LocalizationRequest(scheme=scheme, method="ascent")
+    _assert_ascent_matches_two_phase(ham, aux.mo_coefficients, aux, request)
+
+
+@requires_fixtures
+def test_er_ascent_transforms_once_per_trial(monkeypatch):
+    # H2/cc-pVDZ: 13 accepted and 4 rejected trials; the former ascent
+    # transformed every accepted step twice (30 calls)
+    import importlib
+
+    from conftest import H2_FCIDUMP
+
+    from onenorm import parse_fcidump
+    from onenorm.transform import transform_two_body
+
+    module = importlib.import_module("onenorm.localize")
+    calls = []
+
+    def counting(g, u):
+        calls.append(u.shape)
+        return transform_two_body(g, u)
+
+    monkeypatch.setattr(module, "transform_two_body", counting)
+    ham = parse_fcidump(open(H2_FCIDUMP).read())
+    result = localize(ham, None, None, LocalizationRequest(scheme="er", method="ascent"))
+    assert len(result.objective_per_sweep) == 14
+    assert len(calls) == 17
+
+
+def test_ascent_from_a_stationary_start_returns_it_unchanged(rng):
+    # FB at <p|r|p> = 0 for every p, as for the canonical orbitals of a
+    # centrosymmetric molecule: the gradient vanishes at the start
+    n = 4
+    ham = random_hamiltonian(n, rng)
+    dipoles = rng.standard_normal((3, n, n))
+    dipoles = dipoles + dipoles.transpose(0, 2, 1)
+    for d in dipoles:
+        np.fill_diagonal(d, 0.0)
+    aux = AuxiliaryIntegrals(mo_coefficients=np.eye(n), dipole_ao=dipoles)
+    result = localize(ham, None, aux, LocalizationRequest(scheme="fb", method="ascent"))
+    assert result.hamiltonian is ham
+    assert np.array_equal(result.rotation.matrix, np.eye(n))
+    assert result.converged
+    assert result.sweeps == 0
+    assert result.objective_per_sweep == (0.0,)
+    # Jacobi needs no gradient and leaves the stationary start
+    jacobi = localize(ham, None, aux, LocalizationRequest(scheme="fb"))
+    assert jacobi.objective_per_sweep[-1] > 0.0

@@ -250,6 +250,72 @@ def test_cholesky_rejects_indefinite(rng):
         cholesky_decompose(ham)
 
 
+def _cholesky_over_composite_pairs(g, tolerance):
+    """The former factorization over the N^2 x N^2 matrix: its (N, N) vectors."""
+    n = g.shape[0]
+    mat = g.reshape(n * n, n * n)
+    diag = np.diagonal(mat).copy()
+    rows = []
+    for _ in range(n * n):
+        pivot = int(np.argmax(diag))
+        d = diag[pivot]
+        if d <= tolerance:
+            break
+        column = mat[:, pivot].copy()
+        for vec in rows:
+            column -= vec * vec[pivot]
+        vec = column / np.sqrt(d)
+        rows.append(vec)
+        diag = diag - vec * vec
+        diag[pivot] = 0.0
+    return [vec.reshape(n, n) for vec in rows]
+
+
+def _assert_cholesky_matches_composite_pairs(ham, tolerance=1e-8, same_pivots=True):
+    # the GEMV sums in another order than the loop: agreement to 1e-12
+    old = _cholesky_over_composite_pairs(ham.two_body_dense(), tolerance)
+    fac = cholesky_decompose(ham, tolerance=tolerance)
+    assert fac.rank == len(old)
+    assert lambda_sf(fac) == pytest.approx(
+        sum(float(np.sum(np.abs(vec))) ** 2 for vec in old), rel=1e-12
+    )
+    for vec in fac.vectors:
+        assert np.array_equal(vec, vec.T)
+    if same_pivots:
+        scale = max((float(np.max(np.abs(vec))) for vec in old), default=1.0)
+        for vec, ref in zip(fac.vectors, old):
+            assert np.max(np.abs(vec - ref)) <= 1e-12 * scale
+
+
+def test_cholesky_matches_the_composite_pair_loop(rng):
+    for n in range(1, 9):
+        for rank in (1, n, n * (n + 1) // 2):
+            _assert_cholesky_matches_composite_pairs(
+                random_psd_hamiltonian(n, rng, rank=rank)
+            )
+    # every pair diagonal equal: each tie goes to the smaller (q, p), the
+    # first of the pair's two rows in the N^2 x N^2 matrix
+    n = 3
+    g = np.zeros((n,) * 4)
+    for p, q in zip(*np.tril_indices(n)):
+        unit = np.zeros((n, n))
+        unit[p, q] = unit[q, p] = 1.0
+        g += np.einsum("pq,rs->pqrs", unit, unit)
+    _assert_cholesky_matches_composite_pairs(
+        MolecularHamiltonian.from_dense(0.0, np.zeros((n, n)), g), tolerance=1e-10
+    )
+
+
+@requires_fixtures
+@pytest.mark.parametrize("n", [2, 4, 10, 20])
+def test_cholesky_on_chains_matches_the_composite_pair_loop(n):
+    from conftest import chain_path
+
+    _assert_cholesky_matches_composite_pairs(
+        parse_fcidump(open(chain_path(n)).read()), same_pivots=False
+    )
+
+
 def test_lambda_sf_single_vector():
     from onenorm.norms import CholeskyFactorization
 
