@@ -5,7 +5,7 @@ files, emits JSON to stdout by default (CSV behind ``--csv`` where the
 output is tabular), and exits 0 on success, 1 on input errors (argparse
 usage errors included), 2 on numerical failures (non-PSD tensors, or
 non-convergence under --strict).
-Identical argv + inputs + seed produce byte-identical stdout.
+Identical argv and inputs produce byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def _emit(args, payload, csv_text: str | None = None):
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _pretty_table(payload, prefix="") -> str:
+def _pretty_table(payload) -> str:
     lines = []
 
     def walk(obj, name):
@@ -88,7 +88,7 @@ def _pretty_table(payload, prefix="") -> str:
         else:
             lines.append(f"{name:<40} {obj}")
 
-    walk(payload, prefix)
+    walk(payload, "")
     return "\n".join(lines) + "\n"
 
 
@@ -213,6 +213,14 @@ def _cmd_freeze(args):
     return 0
 
 
+def _recording_warnings(func, *args):
+    """``func(*args)`` and the sorted messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        result = func(*args)
+    return result, sorted(str(w.message) for w in caught)
+
+
 def _cmd_localize(args):
     ham = _load_hamiltonian(args.input)
     aux = _load_aux(args.aux)
@@ -221,12 +229,9 @@ def _cmd_localize(args):
         window=_parse_indices(args.window),
         convergence_tol=args.tol,
         max_sweeps=args.max_sweeps,
-        seed=args.seed,
         method=args.method,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        result = run_localize(ham, None, aux, request)
+    result, caught = _recording_warnings(run_localize, ham, None, aux, request)
     if args.strict and not result.converged:
         raise NumericalError(
             f"{args.scheme} localization ({args.method}) did not converge "
@@ -248,6 +253,7 @@ def _cmd_localize(args):
             "norms_before": _norms_payload(ham),
             "norms_after": _norms_payload(result.hamiltonian),
             "output": args.output,
+            "warnings": caught,
         },
     )
     return 0
@@ -263,11 +269,8 @@ def _cmd_optimize(args):
         convergence_tol=args.tol,
         algorithm=args.algorithm,
         start_from=start,
-        restarts=args.restarts,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        result = minimize_norm(ham, config, aux=aux)
+    result, caught = _recording_warnings(minimize_norm, ham, config, aux)
     if args.strict and not result.converged:
         raise NumericalError(f"1-norm optimization did not converge: {result.stop_reason}")
     _write_output(args.output, fcidump.write_fcidump(result.hamiltonian))
@@ -298,6 +301,7 @@ def _cmd_optimize(args):
             "reduction_pct": result.reduction_percent,
             "norms_after": _norms_payload(result.hamiltonian),
             "output": args.output,
+            "warnings": caught,
         },
     )
     return 0
@@ -416,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-sweeps", type=int, default=200,
                    help="cap on Jacobi sweeps or ascent iterations (default: 200)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--rotation-out", help="write the rotation matrix here")
     p.add_argument("-o", "--output", help="write localized FCIDUMP here")
     common(p)
@@ -431,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--algorithm", default="quasi-newton-bounded",
-                   choices=sorted(set(OPTIMIZER_ALGORITHMS)))
-    p.add_argument("--restarts", type=int, default=2)
+                   choices=list(OPTIMIZER_ALGORITHMS))
     p.add_argument("--aux", help="auxiliary file (needed by pm/fb/oao starts)")
     p.add_argument("--trace-out", help="write the per-iteration CSV trace here")
     p.add_argument("--rotation-out", help="write the rotation matrix here")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from typing import IO, Iterable
 
 import numpy as np
 
@@ -35,12 +34,6 @@ __all__ = [
 ]
 
 _NAMELIST_KV = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z_][A-Za-z0-9_]*\s*=)|$)")
-
-
-def _as_lines(text) -> list[str]:
-    if hasattr(text, "read"):
-        text = text.read()
-    return str(text).splitlines()
 
 
 def _parse_namelist(lines: list[str]) -> tuple[dict, int]:
@@ -66,14 +59,14 @@ def _parse_namelist(lines: list[str]) -> tuple[dict, int]:
     return fields, end + 1
 
 
-def parse_fcidump(text) -> MolecularHamiltonian:
-    """Parse FCIDUMP text (string or readable stream) into a Hamiltonian.
+def parse_fcidump(text: str) -> MolecularHamiltonian:
+    """Parse FCIDUMP text (a string: read a file first) into a Hamiltonian.
 
     Later duplicates of the same canonical index tuple overwrite earlier
     ones; a conflicting duplicate (difference above 1e-10) emits a
     DataWarning rather than failing.
     """
-    lines = _as_lines(text)
+    lines = text.splitlines()
     fields, body_start = _parse_namelist(lines)
     try:
         norb = int(fields["NORB"])
@@ -154,7 +147,7 @@ def parse_fcidump(text) -> MolecularHamiltonian:
     )
 
 
-def write_fcidump(ham: MolecularHamiltonian, stream: IO[str] | None = None) -> str | None:
+def write_fcidump(ham: MolecularHamiltonian) -> str:
     """Emit FCIDUMP text: canonical two-body lines, one-body lines, core.
 
     One line per canonical tuple (p>=q, r>=s, (pq)>=(rs)) and one per
@@ -182,11 +175,7 @@ def write_fcidump(ham: MolecularHamiltonian, stream: IO[str] | None = None) -> s
         columns = (x[keep].tolist() for x in (values, *labels))
         out.extend(map("{!r} {} {} {} {}".format, *columns))
     out.append(f"{ham.core_constant!r} 0 0 0 0")
-    text = "\n".join(out) + "\n"
-    if stream is not None:
-        stream.write(text)
-        return None
-    return text
+    return "\n".join(out) + "\n"
 
 
 _AUX_SECTIONS = (
@@ -200,7 +189,7 @@ _AUX_SECTIONS = (
 )
 
 
-def _split_sections(lines: Iterable[str]) -> dict[str, np.ndarray]:
+def _split_sections(lines: list[str]) -> dict[str, np.ndarray]:
     sections: dict[str, np.ndarray] = {}
     name = None
     shape = None
@@ -245,9 +234,9 @@ def _split_sections(lines: Iterable[str]) -> dict[str, np.ndarray]:
     return sections
 
 
-def parse_auxiliary(text) -> AuxiliaryIntegrals:
-    """Parse labeled-section auxiliary data into AuxiliaryIntegrals."""
-    sections = _split_sections(_as_lines(text))
+def parse_auxiliary(text: str) -> AuxiliaryIntegrals:
+    """Parse labeled-section auxiliary text into AuxiliaryIntegrals."""
+    sections = _split_sections(text.splitlines())
     unknown = [name for name in sections if name not in _AUX_SECTIONS]
     if unknown:
         raise InputError(f"unknown section name {unknown[0]!r}")
@@ -288,25 +277,21 @@ def write_labeled_matrix(name: str, matrix: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_labeled_matrix(text, name: str | None = None) -> np.ndarray:
+def read_labeled_matrix(text: str) -> np.ndarray:
     """Read one matrix back from labeled text (or a bare numeric table).
 
     Labeled text follows the section rules of ``parse_auxiliary`` with any
-    section names; the result is section ``name``, or the last section.
+    section names; the result is the last section.
     """
-    lines = _as_lines(text)
+    lines = text.splitlines()
     if not any(line.strip().startswith("#SECTION") for line in lines):
         rows = [ln.split() for ln in lines if ln.strip()[:2] not in ("", "//")]
         if not rows:
             raise InputError("empty matrix file")
         if any(len(row) != len(rows[0]) for row in rows):
             raise InputError("matrix rows differ in length")
-        lines = [f"#SECTION {name or 'MATRIX'} {len(rows)} {len(rows[0])}", *lines]
-    sections = _split_sections(lines)
-    key = list(sections)[-1] if name is None else name.upper()
-    if key not in sections:
-        raise InputError(f"section {name!r} not found")
-    return sections[key]
+        lines = [f"#SECTION MATRIX {len(rows)} {len(rows[0])}", *lines]
+    return list(_split_sections(lines).values())[-1]
 
 
 def write_auxiliary(aux: AuxiliaryIntegrals) -> str:

@@ -184,24 +184,9 @@ class MolecularHamiltonian:
             n_electrons=n_electrons,
         )
 
-    def g(self, p: int, q: int, r: int, s: int) -> float:
-        """Two-electron integral (pq|rs)."""
-        return float(self.two_body[p, q, r, s])
-
     def two_body_dense(self) -> np.ndarray:
         """The full read-only N^4 tensor (no copy)."""
         return self.two_body
-
-    def replace(self, **kw) -> "MolecularHamiltonian":
-        fields = dict(
-            n_orbitals=self.n_orbitals,
-            core_constant=self.core_constant,
-            one_body=self.one_body,
-            two_body=self.two_body,
-            n_electrons=self.n_electrons,
-        )
-        fields.update(kw)
-        return MolecularHamiltonian(**fields)
 
     def allclose(self, other: "MolecularHamiltonian", tol: float = 0.0) -> bool:
         return (
@@ -298,17 +283,6 @@ class AuxiliaryIntegrals:
             err = np.max(np.abs(gram - np.eye(c.shape[1])))
             if err > 1e-8:
                 raise InputError(f"MO coefficients not S-orthonormal (deviation {err:.2e})")
-
-    @property
-    def n_ao(self) -> int | None:
-        for value in (self.ao_overlap, self.mo_coefficients):
-            if value is not None:
-                return value.shape[0]
-        if self.dipole_ao is not None:
-            return self.dipole_ao.shape[1]
-        if self.ao_to_atom is not None:
-            return len(self.ao_to_atom)
-        return None
 
 
 @dataclass(frozen=True)

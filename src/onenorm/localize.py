@@ -73,27 +73,55 @@ SCHEMES = ("oao", "pm", "fb", "er")
 METHODS = ("jacobi", "ascent")
 
 
+def check_window(window) -> tuple[int, ...] | None:
+    """``window`` as a tuple of distinct orbital indices; None means all."""
+    if window is None:
+        return None
+    window = tuple(int(i) for i in window)
+    if len(set(window)) != len(window):
+        raise InputError("window indices must be distinct")
+    return window
+
+
+def resolve_window(window, n_orbitals: int) -> tuple[int, ...]:
+    """The orbitals a checked window covers, each in 0..n_orbitals-1."""
+    if window is None:
+        return tuple(range(n_orbitals))
+    if not all(0 <= i < n_orbitals for i in window):
+        raise InputError(f"window indices out of range 0..{n_orbitals - 1}")
+    return window
+
+
+def check_limits(cap_name: str, cap: int, tol: float):
+    """An iteration cap must be non-negative, a tolerance finite and non-negative."""
+    if cap < 0:
+        raise InputError(f"{cap_name} must be non-negative, got {cap}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"convergence_tol must be finite and non-negative, got {tol}")
+
+
 @dataclass(frozen=True)
 class LocalizationRequest:
     """What to localize and how hard to try.
 
     ``method`` picks the maximizer for the MO schemes: "jacobi" (pairwise
-    sweeps, aggressive, may hop basins) or "ascent" (monotone Riemannian
-    gradient ascent, converges to the stationary point nearest the
-    starting basis, the way Newton-style localizers in production
-    chemistry codes behave).  Both never decrease the objective.
-    ``max_sweeps`` caps Jacobi sweeps and ascent iterations alike.  A
-    start whose gradient vanishes is stationary for "ascent", which
-    returns it after 0 iterations: FB on centrosymmetric canonical
-    orbitals (<p|r|p> = 0) and PM with populations equal by symmetry.
-    Use "jacobi" for FB and PM there.
+    sweeps over the window pairs in index order, aggressive, may hop
+    basins) or "ascent" (monotone Riemannian gradient ascent, converges to
+    the stationary point nearest the starting basis, the way Newton-style
+    localizers in production chemistry codes behave).  Both never decrease
+    the objective and are deterministic.  ``max_sweeps`` caps Jacobi
+    sweeps and ascent iterations alike and must be non-negative;
+    ``convergence_tol`` must be finite and non-negative.  A start whose
+    gradient vanishes is stationary for "ascent", which returns it after 0
+    iterations: FB on centrosymmetric canonical orbitals (<p|r|p> = 0) and
+    PM with populations equal by symmetry.  Use "jacobi" for FB and PM
+    there.
     """
 
     scheme: str
     window: tuple[int, ...] | None = None
     convergence_tol: float = 1e-8
     max_sweeps: int = 200
-    seed: int | None = None
     method: str = "jacobi"
 
     def __post_init__(self):
@@ -105,18 +133,8 @@ class LocalizationRequest:
         if method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; pick one of {METHODS}")
         object.__setattr__(self, "method", method)
-        if self.window is not None:
-            window = tuple(int(i) for i in self.window)
-            if len(set(window)) != len(window):
-                raise InputError("window indices must be distinct")
-            object.__setattr__(self, "window", window)
-
-    def resolve_window(self, n_orbitals: int) -> tuple[int, ...]:
-        if self.window is None:
-            return tuple(range(n_orbitals))
-        if self.window and not all(0 <= i < n_orbitals for i in self.window):
-            raise InputError(f"window indices out of range 0..{n_orbitals - 1}")
-        return self.window
+        object.__setattr__(self, "window", check_window(self.window))
+        check_limits("max_sweeps", self.max_sweeps, self.convergence_tol)
 
 
 @dataclass(frozen=True)
@@ -180,12 +198,12 @@ def _population_matrices(coeff, aux: AuxiliaryIntegrals):
     return atoms, mats
 
 
-def cost_pm(coeff, aux: AuxiliaryIntegrals, window, weight: float = 2.0) -> float:
+def cost_pm(coeff, aux: AuxiliaryIntegrals, window) -> float:
     """Squared-Mulliken-charge sum over atoms.
 
-    Q_A = Z_A - weight * sum_{p in window} (population of p on A).  The
-    default weight 2 treats every window orbital as doubly occupied.
-    Invariant under rotations inside the window; see module docstring.
+    Q_A = Z_A - 2 sum_{p in window} (population of p on A): every window
+    orbital counts as doubly occupied.  Invariant under rotations inside
+    the window; see module docstring.
     """
     atoms, mats = _population_matrices(coeff, aux)
     window = list(window)
@@ -193,7 +211,7 @@ def cost_pm(coeff, aux: AuxiliaryIntegrals, window, weight: float = 2.0) -> floa
     for atom, mat in zip(atoms, mats):
         z = aux.atomic_numbers[atom]
         population = float(np.sum(np.diagonal(mat)[window], dtype=np.longdouble))
-        total += (z - weight * population) ** 2
+        total += (z - 2.0 * population) ** 2
     return total
 
 
@@ -246,14 +264,6 @@ def _stack_gradient(mats, weights, window):
     return raw - raw.T
 
 
-def _sweep_pairs(window, sweep_index, seed):
-    pairs = [(i, j) for a, i in enumerate(window) for j in window[a + 1:]]
-    if seed is not None:
-        rng = np.random.default_rng((seed, sweep_index))
-        rng.shuffle(pairs)
-    return pairs
-
-
 def _jacobi(mats, weights, window, request):
     """Jacobi sweeps over the stack, rotated in place; returns (U, log, converged, sweeps).
 
@@ -266,13 +276,14 @@ def _jacobi(mats, weights, window, request):
     that cancel in A and B, so rounding noise picks no angle.
     """
     abs_weights = np.abs(weights)
+    pairs = [(i, j) for a, i in enumerate(window) for j in window[a + 1:]]
     u = np.eye(mats.shape[1])
     log = [_stack_objective(mats, weights, window)]
     converged = False
     sweeps = 0
-    for sweep in range(request.max_sweeps):
+    for _ in range(request.max_sweeps):
         sweeps += 1
-        for i, j in _sweep_pairs(window, sweep, request.seed):
+        for i, j in pairs:
             diff = mats[:, i, i] - mats[:, j, j]
             off = mats[:, i, j]
             weighted = weights * diff
@@ -402,7 +413,7 @@ def localize(
     if request.scheme == "oao":
         return _localize_oao(ham, coeff, aux, request)
 
-    window = request.resolve_window(ham.n_orbitals)
+    window = resolve_window(request.window, ham.n_orbitals)
     if len(window) < 2:
         return LocalizationResult(
             scheme=request.scheme,

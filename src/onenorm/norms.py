@@ -10,8 +10,9 @@ with
     lambda_T  = sum_pq |h_pq + sum_r g_pqrr - 1/2 sum_r g_prrq|
     lambda_V' = 1/2 sum_{p>r, s>q} |g_pqrs - g_psrq| + 1/4 sum_pqrs |g_pqrs|
 
-lambda_C is the identity coefficient (rotation invariant) and is excluded
-from the reported value by default, as is the scalar core constant.  The
+lambda_C is the identity coefficient (rotation invariant): ``lambda_q``
+leaves it out, as it does the scalar core constant, and
+``NormReport.lambda_Q_full`` adds it back.  The
 older convention lambda = lambda_T + lambda_V with lambda_V = 1/2 sum |g|
 is also provided; lambda_V' <= lambda_V always.
 
@@ -43,6 +44,7 @@ __all__ = [
     "norm_report",
     "cholesky_decompose",
     "lambda_sf",
+    "t_matrix",
 ]
 
 
@@ -60,9 +62,13 @@ def _lambda_c(h, g) -> float:
     return float(abs(trace_h + 0.5 * coulomb - 0.25 * exchange))
 
 
+def t_matrix(h, g) -> np.ndarray:
+    """t_pq = h_pq + sum_r g_pqrr - 1/2 sum_r g_prrq, whose |.| sum is lambda_T."""
+    return h + np.einsum("pqrr->pq", g) - 0.5 * np.einsum("prrq->pq", g)
+
+
 def _lambda_t(h, g) -> float:
-    t = h + np.einsum("pqrr->pq", g) - 0.5 * np.einsum("prrq->pq", g)
-    return _abs_sum(t)
+    return _abs_sum(t_matrix(h, g))
 
 
 def _lambda_v_prime(g, abs_sum_g=None) -> float:
@@ -100,13 +106,10 @@ def lambda_v_prime(ham: MolecularHamiltonian) -> float:
     return _lambda_v_prime(ham.two_body_dense())
 
 
-def lambda_q(ham: MolecularHamiltonian, include_constant: bool = False) -> float:
-    """Pauli 1-norm; identity term included only on request."""
+def lambda_q(ham: MolecularHamiltonian) -> float:
+    """Pauli 1-norm lambda_T + lambda_V', the identity term left out."""
     g = ham.two_body_dense()
-    total = _lambda_t(ham.one_body, g) + _lambda_v_prime(g)
-    if include_constant:
-        total += _lambda_c(ham.one_body, g)
-    return total
+    return _lambda_t(ham.one_body, g) + _lambda_v_prime(g)
 
 
 @dataclass(frozen=True)
@@ -148,23 +151,8 @@ class NormReport:
             out["lambda_SF"] = self.lambda_SF
         return out
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NormReport":
-        return cls(
-            n_orbitals=int(data["n_orbitals"]),
-            lambda_C=float(data["lambda_C"]),
-            lambda_T=float(data["lambda_T"]),
-            lambda_V_lee=float(data["lambda_V_lee"]),
-            lambda_V_prime=float(data["lambda_V_prime"]),
-            lambda_Q_no_const=float(data["lambda_Q_no_const"]),
-            lambda_Q_full=float(data["lambda_Q_full"]),
-            lambda_lee=float(data["lambda_lee"]),
-            class_sums={k: float(v) for k, v in data.get("class_sums", {}).items()},
-            lambda_SF=float(data["lambda_SF"]) if "lambda_SF" in data else None,
-        )
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def norm_report(

@@ -3,10 +3,10 @@
 The objective is piecewise smooth (absolute values everywhere).  Its
 exact subgradient, taken through the adjoint Frechet derivative of expm,
 is fed to bounded quasi-Newton (L-BFGS-B) or sequential-quadratic (SLSQP)
-minimization, with fresh-Hessian restarts from the best point when a
-round stalls.  The best evaluated point is tracked independently of the
-solver, so the returned basis never has a higher 1-norm than the
-starting one.
+minimization, with up to RESTARTS fresh-Hessian rounds from the best
+point when a round stalls.  The best evaluated point is tracked
+independently of the solver, so the returned basis never has a higher
+1-norm than the starting one.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from scipy.optimize import minimize as scipy_minimize
 
 from .errors import ConvergenceWarning, InputError, NumericalError
 from .integrals import AuxiliaryIntegrals, MolecularHamiltonian
-from .localize import LocalizationRequest, localize
-from .norms import lambda_q
+from .localize import (
+    SCHEMES, LocalizationRequest, check_limits, check_window, localize, resolve_window,
+)
+from .norms import lambda_q, t_matrix
 from .transform import AntisymmetricGenerator, OrbitalRotation, exp_generator, rotate_hamiltonian
 
 __all__ = [
@@ -32,12 +34,11 @@ __all__ = [
     "minimize_norm",
 ]
 
-_ALGORITHMS = {
-    "quasi-newton-bounded": "L-BFGS-B",
-    "sequential-quadratic": "SLSQP",
-    "lbfgsb": "L-BFGS-B",
-    "slsqp": "SLSQP",
-}
+_ALGORITHMS = {"quasi-newton-bounded": "L-BFGS-B", "sequential-quadratic": "SLSQP"}
+
+_STARTS = ("current", "localized", *(f"localized:{scheme}" for scheme in SCHEMES))
+
+RESTARTS = 2  # fresh-Hessian rounds after the first, each from the best point
 
 
 @dataclass(frozen=True)
@@ -47,24 +48,16 @@ class OptimizerConfig:
     convergence_tol: float = 1e-8
     algorithm: str = "quasi-newton-bounded"
     start_from: str = "localized:er"
-    restarts: int = 2
     localization_method: str = "jacobi"
 
     def __post_init__(self):
-        if self.algorithm.lower() not in _ALGORITHMS:
-            raise InputError(
-                f"algorithm must be one of {sorted(set(_ALGORITHMS))}, got {self.algorithm!r}"
-            )
-        start = self.start_from.lower()
-        if start != "current" and not start.startswith("localized"):
-            raise InputError("start_from must be 'current' or 'localized[:scheme]'")
-        object.__setattr__(self, "start_from", start)
-        object.__setattr__(self, "algorithm", self.algorithm.lower())
-        if self.window is not None:
-            window = tuple(int(i) for i in self.window)
-            if len(set(window)) != len(window):
-                raise InputError("window indices must be distinct")
-            object.__setattr__(self, "window", window)
+        if self.algorithm not in _ALGORITHMS:
+            raise InputError(f"algorithm must be one of {list(_ALGORITHMS)}, "
+                             f"got {self.algorithm!r}")
+        if self.start_from not in _STARTS:
+            raise InputError(f"start_from must be one of {_STARTS}, got {self.start_from!r}")
+        object.__setattr__(self, "window", check_window(self.window))
+        check_limits("max_iterations", self.max_iterations, self.convergence_tol)
 
     @property
     def scipy_method(self) -> str:
@@ -73,9 +66,7 @@ class OptimizerConfig:
     def start_scheme(self) -> str | None:
         if self.start_from == "current":
             return None
-        if ":" in self.start_from:
-            return self.start_from.split(":", 1)[1]
-        return "er"
+        return self.start_from.partition(":")[2] or "er"
 
 
 @dataclass(frozen=True)
@@ -136,7 +127,7 @@ def objective(ham_ref: MolecularHamiltonian, kvec, window=None, full_output=Fals
 
     ``full_output`` returns ``(value, rotation, rotated Hamiltonian)``.
     """
-    window = tuple(window) if window is not None else tuple(range(ham_ref.n_orbitals))
+    window = resolve_window(check_window(window), ham_ref.n_orbitals)
     rotation = _window_rotation(ham_ref.n_orbitals, window, kvec)
     rotated = rotate_hamiltonian(ham_ref, rotation)
     value = lambda_q(rotated)
@@ -145,7 +136,7 @@ def objective(ham_ref: MolecularHamiltonian, kvec, window=None, full_output=Fals
     return (value, rotation, rotated) if full_output else value
 
 
-def _gradient(ham_ref: MolecularHamiltonian, kvec, window, rotated=None) -> np.ndarray:
+def _gradient(kvec, window, rotated) -> np.ndarray:
     """Exact subgradient of ``objective`` with respect to ``kvec``, O(N^5).
 
     lambda_Q depends on the rotated integrals through t' = U^T t U (the
@@ -156,15 +147,13 @@ def _gradient(ham_ref: MolecularHamiltonian, kvec, window, rotated=None) -> np.n
     on the window, L being the Frechet derivative of expm (U = exp(-K)).
     Uses sign(0) = 0: at an exact zero of an |.| argument this is one valid
     subgradient, and finite differences there can differ.  ``rotated`` is
-    the ``(rotation, Hamiltonian)`` at ``kvec`` if the caller has it.
+    the ``(rotation, Hamiltonian)`` that ``objective`` returns at ``kvec``.
     """
     window = list(window)
-    if rotated is None:
-        _, *rotated = objective(ham_ref, kvec, window, full_output=True)
     rotation, ham = rotated
     n = ham.n_orbitals
     g = ham.two_body_dense()
-    t = ham.one_body + np.einsum("pqrr->pq", g) - 0.5 * np.einsum("prrq->pq", g)
+    t = t_matrix(ham.one_body, g)
     sign_t = np.sign(t)
     p, q, r, s = np.ogrid[0:n, 0:n, 0:n, 0:n]
     b = np.where((p > r) & (s > q), np.sign(g - g.transpose(0, 3, 2, 1)), 0.0)
@@ -209,7 +198,7 @@ class _TrackedObjective:
 
     def gradient(self, x):
         self(x)
-        grad = _gradient(self.ham_ref, self._x, self.window, self._rotated)
+        grad = _gradient(self._x, self.window, self._rotated)
         self.gradient_calls += 1
         self.grad_inf_norm = float(np.max(np.abs(grad), initial=0.0))
         return grad
@@ -228,9 +217,7 @@ def minimize_norm(
     above the starting value.
     """
     n = ham.n_orbitals
-    window = config.window if config.window is not None else tuple(range(n))
-    if window and not all(0 <= i < n for i in window):
-        raise InputError(f"window indices out of range 0..{n - 1}")
+    window = resolve_window(config.window, n)
     lambda_initial = lambda_q(ham)
 
     scheme = config.start_scheme()
@@ -265,7 +252,7 @@ def minimize_norm(
     if n_params:
         x_current = np.zeros(n_params)
         try:
-            for n_restarts in range(max(1, config.restarts + 1)):
+            for n_restarts in range(RESTARTS + 1):
                 before = tracked.best_value
                 result = scipy_minimize(
                     tracked,

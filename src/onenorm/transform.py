@@ -85,14 +85,6 @@ class AntisymmetricGenerator:
         k -= k.T
         return k
 
-    @classmethod
-    def from_matrix(cls, k: np.ndarray) -> "AntisymmetricGenerator":
-        k = np.asarray(k, dtype=float)
-        if np.max(np.abs(k + k.T), initial=0.0) > 1e-12:
-            raise InputError("generator matrix must be antisymmetric")
-        rows, cols = np.triu_indices(k.shape[0], k=1)
-        return cls(dim=k.shape[0], params=k[rows, cols])
-
 
 def exp_generator(generator: AntisymmetricGenerator) -> OrbitalRotation:
     """U = exp(-K); orthogonal with unit determinant for antisymmetric K."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -132,7 +133,7 @@ def test_freeze_matches_library(capsys, tmp_path, small_fcidump):
 
 
 def test_freeze_fermi_window(capsys, tmp_path, rng):
-    ham = random_hamiltonian(3, rng).replace(n_electrons=4)
+    ham = dataclasses.replace(random_hamiltonian(3, rng), n_electrons=4)
     path = tmp_path / "mol.fcidump"
     path.write_text(write_fcidump(ham))
     code, out, _ = invoke(
@@ -383,3 +384,37 @@ def test_rotate_rejects_malformed_matrix_files(capsys, tmp_path, small_fcidump):
         code, _, err = invoke(capsys, "rotate", path, "--matrix", str(matrix_path))
         assert code == 1
         assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--strict", "localize", "{path}", "--scheme", "er", "--max-sweeps", "-3"], "max_sweeps"),
+    (["optimize", "{path}", "--start", "current", "--max-iter", "-1"], "max_iterations"),
+    (["localize", "{path}", "--scheme", "er", "--tol", "-1"], "convergence_tol"),
+    (["localize", "{path}", "--scheme", "er", "--tol", "nan"], "convergence_tol"),
+])
+def test_negative_caps_and_tolerances_are_input_errors(capsys, small_fcidump, argv, message):
+    path, _ = small_fcidump
+    code, out, err = invoke(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@requires_fixtures
+def test_convergence_warnings_are_reported_in_the_json(capsys):
+    from conftest import chain_path
+
+    argv = ["localize", chain_path(4), "--scheme", "er", "--max-sweeps", "1"]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["warnings"] == ["er localization (jacobi) stopped at max_sweeps=1"]
+    assert invoke(capsys, *argv)[1] == out
+    code, out, _ = invoke(capsys, "localize", chain_path(4), "--scheme", "er")
+    assert code == 0 and json.loads(out)["warnings"] == []
+    code, out, _ = invoke(capsys, "optimize", chain_path(4), "--max-iter", "1")
+    payload = json.loads(out)
+    assert code == 0 and not payload["converged"]
+    assert payload["warnings"] == [
+        f"1-norm optimization did not converge ({payload['stop_reason']}); "
+        "returning the best point found"
+    ]

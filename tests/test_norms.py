@@ -5,7 +5,6 @@ import pytest
 
 from onenorm import (
     MolecularHamiltonian,
-    NormReport,
     cholesky_decompose,
     class_decomposition,
     lambda_c,
@@ -50,7 +49,7 @@ def test_single_orbital_closed_forms():
     assert lambda_v_lee(ham) == pytest.approx(0.2, abs=1e-15)
     assert lambda_v_prime(ham) == pytest.approx(0.1, abs=1e-15)
     assert lambda_q(ham) == pytest.approx(1.3, abs=1e-14)
-    assert lambda_q(ham, include_constant=True) == pytest.approx(2.4, abs=1e-14)
+    assert norm_report(ham).lambda_Q_full == pytest.approx(2.4, abs=1e-14)
 
 
 def test_zero_hamiltonian_all_zero():
@@ -190,8 +189,7 @@ def test_norm_report_consistency(rng):
 
 def test_norm_report_json_roundtrip(rng):
     report = norm_report(random_psd_hamiltonian(3, rng), with_cholesky=True)
-    back = NormReport.from_dict(__import__("json").loads(report.to_json()))
-    assert back == report
+    assert __import__("json").loads(report.to_json()) == report.to_dict()
 
 
 @requires_fixtures

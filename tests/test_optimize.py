@@ -22,10 +22,34 @@ def test_config_validation():
         OptimizerConfig(algorithm="adam")
     with pytest.raises(InputError, match="start_from"):
         OptimizerConfig(start_from="somewhere")
-    assert OptimizerConfig(algorithm="SLSQP").scipy_method == "SLSQP"
+    assert OptimizerConfig(algorithm="sequential-quadratic").scipy_method == "SLSQP"
     assert OptimizerConfig().start_scheme() == "er"
     assert OptimizerConfig(start_from="current").start_scheme() is None
     assert OptimizerConfig(start_from="localized:pm").start_scheme() == "pm"
+
+
+def test_start_from_is_one_of_the_named_starts():
+    from onenorm.localize import SCHEMES
+
+    assert OptimizerConfig(start_from="localized").start_scheme() == "er"
+    for scheme in SCHEMES:
+        assert OptimizerConfig(start_from=f"localized:{scheme}").start_scheme() == scheme
+    for start in ("localizedfoo", "localized:xyz", "localized:", "Localized:er", "current:er"):
+        with pytest.raises(InputError, match="start_from"):
+            OptimizerConfig(start_from=start)
+
+
+def test_negative_cap_or_bad_tolerance_is_an_input_error():
+    bad = [(OptimizerConfig, "max_iterations", -1), (LocalizationRequest, "max_sweeps", -1)]
+    for tol in (-1.0, float("nan"), float("inf")):
+        bad += [(OptimizerConfig, "convergence_tol", tol),
+                (LocalizationRequest, "convergence_tol", tol)]
+    for cls, field, value in bad:
+        scheme = {"scheme": "er"} if cls is LocalizationRequest else {}
+        with pytest.raises(InputError, match=field):
+            cls(**scheme, **{field: value})
+    OptimizerConfig(max_iterations=0, convergence_tol=0.0)
+    LocalizationRequest(scheme="er", max_sweeps=0, convergence_tol=0.0)
 
 
 def test_objective_at_zero_equals_lambda_q(rng):
@@ -37,6 +61,14 @@ def test_objective_wrong_length(rng):
     ham = random_hamiltonian(3, rng)
     with pytest.raises(InputError, match="length"):
         objective(ham, np.zeros(2), window=(0, 1))
+
+
+def test_objective_checks_its_window(rng):
+    ham = random_hamiltonian(3, rng)
+    with pytest.raises(InputError, match="distinct"):
+        objective(ham, np.full(3, 0.1), window=(0, 0, 1))
+    with pytest.raises(InputError, match="out of range"):
+        objective(ham, np.zeros(1), window=(0, 3))
 
 
 def test_objective_half_rotation_composition(rng):
@@ -66,7 +98,6 @@ def test_minimizer_never_regresses(rng):
             ham = random_hamiltonian(n, rng)
             config = OptimizerConfig(
                 start_from="current", algorithm=algorithm, max_iterations=40,
-                restarts=0,
             )
             result = minimize_norm(ham, config)
             assert result.lambda_final <= result.lambda_start + 1e-9
@@ -167,7 +198,8 @@ def test_gradient_matches_stencil(rng):
         window = window or tuple(range(n))
         m = len(window) * (len(window) - 1) // 2
         x0 = 0.3 * rng.standard_normal(m)
-        grad = _gradient(ham, x0, window)
+        _, *rotated = objective(ham, x0, window, full_output=True)
+        grad = _gradient(x0, window, rotated)
         h = 1e-5
         stencil = np.empty(m)
         for k in range(m):
@@ -189,7 +221,8 @@ def test_gradient_reuses_last_evaluation(rng):
     assert tracked(x) == objective(ham, x)
     grad = tracked.gradient(x)
     assert (tracked.calls, tracked.gradient_calls) == (1, 1)
-    assert np.array_equal(grad, _gradient(ham, x, tuple(range(4))))
+    _, *rotated = objective(ham, x, full_output=True)
+    assert np.array_equal(grad, _gradient(x, tuple(range(4)), rotated))
     assert tracked.grad_inf_norm == np.max(np.abs(grad))
     tracked.gradient(-x)
     assert (tracked.calls, tracked.gradient_calls) == (2, 2)

@@ -1,0 +1,75 @@
+"""The settable surface: every CLI flag and every configuration field.
+
+Adding a knob, or bringing back a removed one, has to change this file.
+"""
+
+import argparse
+import dataclasses
+
+import pytest
+
+from onenorm import LocalizationRequest, OptimizerConfig
+from onenorm.cli import build_parser, run
+
+from conftest import H2_FCIDUMP
+
+SUBCOMMAND_FLAGS = {
+    "norm": {"input", "--cholesky", "--cholesky-tol", "--pretty"},
+    "classes": {"input", "--csv", "--pretty"},
+    "rotate": {"input", "--matrix", "-o", "--output", "--pretty"},
+    "jacobi-scan": {"input", "--pair", "--steps", "--max-angle", "--csv", "--pretty"},
+    "freeze": {"input", "--frozen", "--active", "--fermi-window", "--virtual",
+               "--active-electrons", "-o", "--output", "--pretty"},
+    "localize": {"input", "--scheme", "--method", "--aux", "--window", "--tol",
+                 "--max-sweeps", "--rotation-out", "-o", "--output", "--pretty"},
+    "optimize": {"input", "--start", "--window", "--max-iter", "--tol", "--algorithm",
+                 "--aux", "--trace-out", "--rotation-out", "-o", "--output", "--pretty"},
+    "oracle-check": {"input", "--pretty"},
+    "scaling-fit": {"--csv", "--pretty"},
+    "report": {"--baseline", "entries", "--csv", "--pretty"},
+}
+
+
+def _flags(parser):
+    """Option strings, or the name of a positional, of every argument but --help."""
+    return {
+        flag
+        for action in parser._actions
+        if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+        for flag in action.option_strings or [action.dest]
+    }
+
+
+def _subcommands(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_cli_flags_are_pinned():
+    parser = build_parser()
+    assert _flags(parser) == {"--threads", "--strict"}
+    subcommands = _subcommands(parser)
+    assert {name: _flags(sub) for name, sub in subcommands.items()} == SUBCOMMAND_FLAGS
+    algorithm = next(a for a in subcommands["optimize"]._actions if a.dest == "algorithm")
+    assert algorithm.choices == ["quasi-newton-bounded", "sequential-quadratic"]
+
+
+def test_configuration_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == [
+        "window", "max_iterations", "convergence_tol", "algorithm", "start_from",
+        "localization_method",
+    ]
+    assert [f.name for f in dataclasses.fields(LocalizationRequest)] == [
+        "scheme", "window", "convergence_tol", "max_sweeps", "method",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", H2_FCIDUMP, "--restarts", "1"],
+    ["localize", H2_FCIDUMP, "--scheme", "er", "--seed", "3"],
+    ["optimize", H2_FCIDUMP, "--algorithm", "slsqp"],
+    ["optimize", H2_FCIDUMP, "--algorithm", "lbfgsb"],
+])
+def test_removed_flags_and_aliases_are_usage_errors(capsys, argv):
+    assert run(argv) == 1
+    assert "usage:" in capsys.readouterr().err
