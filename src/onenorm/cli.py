@@ -161,6 +161,8 @@ def _cmd_rotate(args):
 
 
 def _cmd_jacobi_scan(args):
+    if args.steps < 1:
+        raise InputError(f"--steps must be at least 1, got {args.steps}")
     ham = _load_hamiltonian(args.input)
     p, q = args.pair
     thetas = [args.max_angle * k / args.steps for k in range(args.steps + 1)]

@@ -60,8 +60,7 @@ def pair_matrix(g: np.ndarray):
 def from_pair_matrix(pairs: np.ndarray, n: int) -> np.ndarray:
     """Read-only N^4 tensor spread from the lower triangle of a pair matrix.
 
-    Values are copied, never combined.  No writeable array shares the
-    result's data, so ``MolecularHamiltonian`` stores it without a copy.
+    Values are copied, never combined, so the result is its own fill.
     """
     pairs = np.where(np.tri(len(pairs), dtype=bool), pairs, pairs.T)
     spread = pair_index(*np.indices((n, n)).reshape(2, -1))
@@ -92,14 +91,12 @@ def row_blocks(n_rows: int, row_size: int) -> list[slice]:
 def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
     """Canonical fill of a dense N^4 tensor, checking its 8-fold symmetry.
 
-    Raises InputError if the tensor is not N^4, holds non-finite entries, or
-    differs from its fill by more than SYMMETRY_TOL anywhere.  The fill is
-    read-only (see ``from_pair_matrix``).
+    Raises InputError if the tensor holds non-finite entries or differs
+    from its fill by more than SYMMETRY_TOL anywhere.  The caller checks
+    the N^4 shape.  The fill is read-only (see ``from_pair_matrix``).
     """
     dense = np.asarray(dense, dtype=float)
     n = dense.shape[0]
-    if dense.shape != (n, n, n, n):
-        raise InputError(f"two-body tensor must be N^4, got {dense.shape}")
     if not np.isfinite(dense).all():
         raise InputError("two-body tensor contains non-finite entries")
     filled = from_pair_matrix(pair_matrix(dense)[2], n)
@@ -116,13 +113,7 @@ def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    """Read-only C-ordered float64 array: ``arr`` itself when no writeable
-    array shares its data, otherwise a copy."""
-    owner = arr
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    if owner is None and arr.dtype == np.float64 and arr.flags.c_contiguous:
-        return arr
+    """Read-only float64 copy of ``arr``."""
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
     return out
@@ -133,54 +124,47 @@ class MolecularHamiltonian:
     """Spin-free electronic Hamiltonian: core constant, h_pq, dense g_pqrs.
 
     All energies in Hartree.  Instances are immutable; the arrays are
-    flagged read-only so they can be shared freely.  A writeable input is
-    copied; a read-only float64 one is stored as it is.  The constructor
-    accepts only an exactly 8-fold-symmetric two-body tensor; build from
-    a tensor that is symmetric to round-off with ``from_dense``.
+    flagged read-only so they can be shared freely.  h is copied and must
+    be symmetric to 1e-12.  The constructor is the one place where g
+    becomes canonical: one ``symmetrize_two_body`` call checks it and
+    stores its fill, a new array whose eight images are exactly equal.
     """
 
     n_orbitals: int
     core_constant: float
     one_body: np.ndarray
-    two_body: np.ndarray  # dense (N, N, N, N), exactly 8-fold symmetric
+    two_body: np.ndarray  # dense (N, N, N, N), stored as its canonical fill
     n_electrons: int | None = None
 
     def __post_init__(self):
         n = self.n_orbitals
         h = _freeze(self.one_body)
-        g = _freeze(self.two_body)
         if h.shape != (n, n):
             raise InputError(f"one-body tensor shape {h.shape}, expected ({n}, {n})")
-        if g.shape != (n, n, n, n):
+        if (shape := np.shape(self.two_body)) != (n, n, n, n):
             raise InputError(
-                f"two-body tensor shape {g.shape}, expected {(n, n, n, n)}"
+                f"two-body tensor shape {shape}, expected {(n, n, n, n)}"
             )
-        if not (np.isfinite(h).all() and np.isfinite(g).all()):
+        if not np.isfinite(h).all():
             raise InputError("Hamiltonian contains non-finite entries")
         if not np.isfinite(self.core_constant):
             raise InputError("core constant is not finite")
         if n and np.max(np.abs(h - h.T)) > 1e-12:
             raise InputError("one-body tensor is not symmetric to 1e-12")
-        # (pq|rs) = (qp|rs) and (pq|rs) = (rs|pq) generate all eight images
-        if not ((g == g.transpose(1, 0, 2, 3)).all()
-                and (g == g.transpose(2, 3, 0, 1)).all()):
-            raise InputError(
-                "two-body tensor is not exactly 8-fold symmetric (use from_dense)"
-            )
+        g = symmetrize_two_body(self.two_body)
         object.__setattr__(self, "one_body", h)
         object.__setattr__(self, "two_body", g)
         object.__setattr__(self, "core_constant", float(self.core_constant))
 
     @classmethod
     def from_dense(cls, core_constant, one_body, two_body_dense, n_electrons=None):
-        """Build from a dense N^4 two-body tensor symmetric to SYMMETRY_TOL."""
+        """Build with N read from h; the constructor checks and fills g."""
         one_body = np.asarray(one_body, dtype=float)
-        n = one_body.shape[0]
         return cls(
-            n_orbitals=n,
+            n_orbitals=one_body.shape[0],
             core_constant=float(core_constant),
             one_body=one_body,
-            two_body=symmetrize_two_body(two_body_dense),
+            two_body=two_body_dense,
             n_electrons=n_electrons,
         )
 

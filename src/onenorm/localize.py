@@ -51,7 +51,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConvergenceWarning, InputError
-from .integrals import AuxiliaryIntegrals, MolecularHamiltonian, pair_matrix, pair_stack
+from .integrals import (
+    AuxiliaryIntegrals, MolecularHamiltonian, pair_matrix, pair_stack, symmetrize_two_body,
+)
 from .transform import (
     OrbitalRotation,
     lowdin_orthogonalize,
@@ -429,7 +431,8 @@ def localize(
         u, log, converged, sweeps = _jacobi(mats, weights, window, request)
     elif request.scheme == "er":
         u, log, converged, sweeps = _ascend(
-            ham.two_body_dense(), transform_two_body,
+            ham.two_body_dense(),
+            lambda g, v: symmetrize_two_body(transform_two_body(g, v)),
             lambda g: _self_repulsion(g, window), _er_gradient, window, request,
         )
     else:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveSemidefiniteError
+from .errors import InputError, NotPositiveSemidefiniteError
 from .integrals import (
     MolecularHamiltonian, class_decomposition, pair_matrix, pair_stack, row_blocks,
 )
@@ -213,11 +213,15 @@ def cholesky_decompose(
 
     Runs on the (pq|rs) pair matrix of ``pair_matrix``.  The N^2 x N^2
     matrix g_(pq),(rs) repeats the row of every pair p != q, so it gives
-    the same vectors; pivot ties go to the pair that comes first there,
-    the smaller (q, p).  Stops when the largest remaining diagonal drops to
-    ``tolerance``.  Diagonal entries below -10*tolerance mean the tensor
-    is not positive semi-definite (beyond round-off slack) and raise.
+    the same vectors; a diagonal within 1e-12 (relative) of the largest
+    ties with it, and ties go to the pair that comes first there, the
+    smaller (q, p).  Stops when the largest remaining diagonal drops to
+    ``tolerance`` (finite, non-negative).  Diagonal entries below
+    -10*tolerance mean the tensor is not positive semi-definite (beyond
+    round-off slack) and raise.
     """
+    if not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise InputError(f"Cholesky tolerance must be finite and >= 0, got {tolerance}")
     n = ham.n_orbitals
     p, q, pairs = pair_matrix(ham.two_body_dense())
     order = np.argsort(q * n + p)
@@ -229,7 +233,8 @@ def cholesky_decompose(
                 "two-electron tensor is not positive semi-definite "
                 f"(diagonal reached {diag.min():.3e})"
             )
-        pivot = int(order[np.argmax(diag[order])])
+        top = diag.max()
+        pivot = int(order[np.argmax(diag[order] >= top - 1e-12 * abs(top))])
         if rank == len(pairs) or diag[pivot] <= tolerance:
             break
         vec = (pairs[:, pivot] - factor[:rank, pivot] @ factor[:rank]) / np.sqrt(diag[pivot])

@@ -269,7 +269,8 @@ def minimize_norm(
                 x_current = tracked.best_x.copy()
                 improvement = before - tracked.best_value
                 if result.success or improvement < config.convergence_tol:
-                    converged = True
+                    # a round stopped by its iteration cap has not converged
+                    converged = bool(result.success or result.nit < config.max_iterations)
                     break
         except NumericalError as exc:  # a trial point failed: keep the best one
             stop_reason = f"stopped at the best point: {exc}"

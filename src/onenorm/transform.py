@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InputError, NumericalError
-from .integrals import ActiveSpaceSpec, MolecularHamiltonian, symmetrize_two_body
+from .integrals import ActiveSpaceSpec, MolecularHamiltonian
 
 __all__ = [
     "OrbitalRotation",
@@ -109,9 +109,9 @@ def transform_two_body(g: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 
     Each quarter is one GEMM: it contracts the leading old index and
     appends the new one last, so after four the order is (p, q, r, s)
-    again and no more than two tensors are live.  The result is
-    symmetry-checked and returned with every permutational image set to
-    its canonical entry, so the eight images are exactly equal.
+    again and no more than two tensors are live.  The result is the raw
+    contraction, symmetric only to round-off; the ``MolecularHamiltonian``
+    constructor checks and fills it (see ``rotate_hamiltonian``).
     """
     g = np.asarray(g, dtype=float)
     coeff = np.asarray(coeff, dtype=float)
@@ -123,10 +123,7 @@ def transform_two_body(g: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     out = g
     for quarter in range(4):
         out = out.reshape(m, m ** (3 - quarter) * n**quarter).T @ coeff
-    try:
-        return symmetrize_two_body(out.reshape(n, n, n, n))
-    except InputError as exc:
-        raise InputError(f"transformed tensor lost its symmetry: {exc}") from exc
+    return out.reshape(n, n, n, n)
 
 
 def rotate_hamiltonian(

@@ -391,6 +391,10 @@ def test_rotate_rejects_malformed_matrix_files(capsys, tmp_path, small_fcidump):
     (["optimize", "{path}", "--start", "current", "--max-iter", "-1"], "max_iterations"),
     (["localize", "{path}", "--scheme", "er", "--tol", "-1"], "convergence_tol"),
     (["localize", "{path}", "--scheme", "er", "--tol", "nan"], "convergence_tol"),
+    (["jacobi-scan", "{path}", "--pair", "0", "1", "--steps", "0"], "--steps"),
+    (["jacobi-scan", "{path}", "--pair", "0", "1", "--steps", "-2"], "--steps"),
+    (["norm", "{path}", "--cholesky", "--cholesky-tol", "-1"], "Cholesky tolerance"),
+    (["norm", "{path}", "--cholesky", "--cholesky-tol", "nan"], "Cholesky tolerance"),
 ])
 def test_negative_caps_and_tolerances_are_input_errors(capsys, small_fcidump, argv, message):
     path, _ = small_fcidump
@@ -398,6 +402,20 @@ def test_negative_caps_and_tolerances_are_input_errors(capsys, small_fcidump, ar
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@requires_fixtures
+def test_an_iteration_cap_is_not_convergence(capsys):
+    # the capped round improves by 0, which must not read as a stall
+    from conftest import chain_path
+
+    argv = ["optimize", chain_path(4), "--max-iter", "0",
+            "--algorithm", "sequential-quadratic"]
+    code, out, _ = invoke(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0 and not payload["converged"]
+    assert payload["stop_reason"] == "Iteration limit reached"
+    assert invoke(capsys, "--strict", *argv)[0] == 2
 
 
 @requires_fixtures

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -15,31 +14,48 @@ from onenorm import (
     write_fcidump,
 )
 from onenorm.errors import InputError
-from onenorm.integrals import CLASS_NAMES, pair_index
+from onenorm.integrals import CLASS_NAMES, SYMMETRY_TOL, pair_index, symmetrize_two_body
 
 from conftest import random_hamiltonian, random_orthogonal
 
 
-def _from_dense_roundoff(rng):
+# Construction paths: each builder sets up its inputs and returns a thunk
+# that runs only the construction, plus the dense input whose canonical
+# entries the result must hold (None where the input is not at hand).
+def _roundoff_tensor(rng):
     source = random_hamiltonian(4, rng).two_body_dense()
-    noisy = source + 1e-12 * rng.standard_normal(source.shape)
-    return MolecularHamiltonian.from_dense(0.0, np.zeros((4, 4)), noisy), noisy
+    return source + 1e-12 * rng.standard_normal(source.shape)
+
+
+def _direct_roundoff(rng):
+    noisy = _roundoff_tensor(rng)
+    return lambda: MolecularHamiltonian(4, 0.0, np.zeros((4, 4)), noisy), noisy
+
+
+def _from_dense_roundoff(rng):
+    noisy = _roundoff_tensor(rng)
+    return lambda: MolecularHamiltonian.from_dense(0.0, np.zeros((4, 4)), noisy), noisy
 
 
 def _parsed(rng):
     ham = random_hamiltonian(4, rng)
-    return parse_fcidump(write_fcidump(ham)), ham.two_body_dense()
+    text = write_fcidump(ham)
+    return lambda: parse_fcidump(text), ham.two_body_dense()
 
 
 def _rotated(rng):
     ham = random_hamiltonian(4, rng)
-    return rotate_hamiltonian(ham, random_orthogonal(4, rng)), None
+    rotation = random_orthogonal(4, rng)
+    return lambda: rotate_hamiltonian(ham, rotation), None
 
 
 def _frozen(rng):
     ham = random_hamiltonian(5, rng)
     space = ActiveSpaceSpec(frozen=(0,), active=(1, 2, 3, 4), n_active_electrons=2)
-    return freeze_core(ham, space)[0], None
+    return lambda: freeze_core(ham, space)[0], None
+
+
+BUILDERS = (_direct_roundoff, _from_dense_roundoff, _parsed, _rotated, _frozen)
 
 
 def _canonical(p, q, r, s):
@@ -49,9 +65,9 @@ def _canonical(p, q, r, s):
 
 def test_accessor_resolves_all_eight_images(rng):
     # one input per construction path
-    for build in (_from_dense_roundoff, _parsed, _rotated, _frozen):
-        ham, source = build(rng)
-        g = ham.two_body_dense()
+    for build in BUILDERS:
+        make, source = build(rng)
+        g = make().two_body_dense()
         for p, q, r, s in itertools.product(range(4), repeat=4):
             value = g[p, q, r, s]
             if source is not None:  # the canonical entry of the input wins
@@ -62,6 +78,31 @@ def test_accessor_resolves_all_eight_images(rng):
             ]
             for image in images:
                 assert g[image] == value, build.__name__  # exact, bit for bit
+
+
+def test_every_construction_checks_once_and_stores_a_fixed_point(rng, monkeypatch):
+    # the constructor is the one place a tensor is checked and filled: one
+    # symmetrize_two_body call per construction, and the stored tensor is
+    # its own fill, so rebuilding from it reproduces it bit for bit
+    import onenorm.integrals as integrals
+
+    calls = []
+
+    def counting(dense):
+        calls.append(np.shape(dense))
+        return symmetrize_two_body(dense)
+
+    for build in BUILDERS:
+        make, _ = build(rng)
+        monkeypatch.setattr(integrals, "symmetrize_two_body", counting)
+        ham = make()
+        monkeypatch.undo()
+        assert len(calls) == 1, build.__name__
+        calls.clear()
+        rebuilt = MolecularHamiltonian(
+            ham.n_orbitals, ham.core_constant, ham.one_body, ham.two_body
+        )
+        assert rebuilt.two_body.tobytes() == ham.two_body.tobytes(), build.__name__
 
 
 def test_from_dense_rejects_asymmetric():
@@ -103,8 +144,16 @@ def test_hamiltonian_validation_errors():
         )
     roundoff = np.zeros((2,) * 4)
     roundoff[1, 0, 0, 0] = roundoff[0, 1, 0, 0] = roundoff[0, 0, 1, 0] = 0.5
-    roundoff[0, 0, 0, 1] = np.nextafter(0.5, 1.0)  # within from_dense's tolerance
-    with pytest.raises(InputError, match="exactly"):
+    roundoff[0, 0, 0, 1] = np.nextafter(0.5, 1.0)  # within SYMMETRY_TOL
+    # a tensor symmetric to round-off is stored as its fill: the canonical
+    # entry (1, 0, 0, 0) wins over the image (0, 0, 0, 1)
+    ham = MolecularHamiltonian(
+        n_orbitals=2, core_constant=0.0, one_body=np.zeros((2, 2)), two_body=roundoff
+    )
+    assert ham.two_body[0, 0, 0, 1] == 0.5
+    assert roundoff[0, 0, 0, 1] != 0.5  # the input is not written to
+    roundoff[0, 0, 0, 1] = 0.5 + 10 * SYMMETRY_TOL
+    with pytest.raises(InputError, match="symmetry"):
         MolecularHamiltonian(
             n_orbitals=2,
             core_constant=0.0,
@@ -121,7 +170,7 @@ def test_arrays_are_immutable(rng):
         ham.two_body[0] = 1.0
 
 
-def test_writeable_inputs_are_copied_read_only_ones_shared(rng):
+def test_writeable_inputs_are_copied(rng):
     source = random_hamiltonian(3, rng)
     h = source.one_body.copy()
     g = source.two_body_dense().copy()
@@ -134,8 +183,6 @@ def test_writeable_inputs_are_copied_read_only_ones_shared(rng):
     for ham in built:
         assert np.array_equal(ham.one_body, source.one_body)
         assert np.array_equal(ham.two_body, source.two_body)
-    # a read-only float64 array is stored without a copy
-    assert dataclasses.replace(source, core_constant=1.0).two_body is source.two_body
 
 
 def class_decomposition_oracle(g):

@@ -444,6 +444,7 @@ def _two_phase_ascent(ham, coeff, aux, request):
     from onenorm.localize import (
         _objective_stack, _stack_gradient, _stack_objective, resolve_window,
     )
+    from onenorm.integrals import symmetrize_two_body
     from onenorm.transform import transform_two_body
 
     window = resolve_window(request.window, ham.n_orbitals)
@@ -457,7 +458,8 @@ def _two_phase_ascent(ham, coeff, aux, request):
             raw = 4.0 * np.einsum("pppq->qp", g)
             return raw - raw.T
 
-        rotate = transform_two_body
+        def rotate(g, v):  # filled after each transform
+            return symmetrize_two_body(transform_two_body(g, v))
     else:
         state, weights = _objective_stack(ham, coeff, aux, request.scheme)
 
@@ -522,6 +524,7 @@ def test_er_ascent_transforms_once_per_trial(monkeypatch):
     from conftest import H2_FCIDUMP
 
     from onenorm import parse_fcidump
+    from onenorm.integrals import symmetrize_two_body
     from onenorm.transform import transform_two_body
 
     module = importlib.import_module("onenorm.localize")

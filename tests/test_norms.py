@@ -249,13 +249,18 @@ def test_cholesky_rejects_indefinite(rng):
 
 
 def _cholesky_over_composite_pairs(g, tolerance):
-    """The former factorization over the N^2 x N^2 matrix: its (N, N) vectors."""
+    """The former factorization over the N^2 x N^2 matrix: its (N, N) vectors.
+
+    Same tie rule as ``cholesky_decompose``: a diagonal within 1e-12
+    (relative) of the largest ties, and a tie goes to the first row.
+    """
     n = g.shape[0]
     mat = g.reshape(n * n, n * n)
     diag = np.diagonal(mat).copy()
     rows = []
     for _ in range(n * n):
-        pivot = int(np.argmax(diag))
+        top = diag.max()
+        pivot = int(np.argmax(diag >= top - 1e-12 * abs(top)))
         d = diag[pivot]
         if d <= tolerance:
             break
@@ -302,16 +307,23 @@ def test_cholesky_matches_the_composite_pair_loop(rng):
     _assert_cholesky_matches_composite_pairs(
         MolecularHamiltonian.from_dense(0.0, np.zeros((n, n)), g), tolerance=1e-10
     )
+    # diagonals one ulp apart tie too: the later, larger one does not win
+    g = np.zeros((2,) * 4)
+    g[0, 0, 0, 0] = 1.0
+    g[1, 1, 1, 1] = np.nextafter(1.0, 2.0)
+    ham = MolecularHamiltonian.from_dense(0.0, np.zeros((2, 2)), g)
+    assert cholesky_decompose(ham).vectors[0][0, 0] == 1.0
+    _assert_cholesky_matches_composite_pairs(ham)
 
 
 @requires_fixtures
-@pytest.mark.parametrize("n", [2, 4, 10, 20])
+@pytest.mark.parametrize("n", [2, 4, 10, 20, "h2_ccpvdz"])
 def test_cholesky_on_chains_matches_the_composite_pair_loop(n):
+    # H2/cc-pVDZ has two diagonals 3e-17 apart at its 15th pivot: a tie
     from conftest import chain_path
 
-    _assert_cholesky_matches_composite_pairs(
-        parse_fcidump(open(chain_path(n)).read()), same_pivots=False
-    )
+    path = H2_FCIDUMP if n == "h2_ccpvdz" else chain_path(n)
+    _assert_cholesky_matches_composite_pairs(parse_fcidump(open(path).read()))
 
 
 def test_lambda_sf_single_vector():

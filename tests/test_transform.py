@@ -20,7 +20,6 @@ from onenorm import (
     transform_two_body,
 )
 from onenorm.errors import InputError, NumericalError
-from onenorm.integrals import from_pair_matrix, pair_matrix
 from onenorm.transform import givens_rotation
 
 from conftest import chain_path, random_hamiltonian, random_orthogonal, requires_fixtures
@@ -134,13 +133,6 @@ def test_transform_two_body_matches_quadruple_loop(rng):
     assert np.max(np.abs(transform_two_body(g, c) - loop)) < 1e-13
 
 
-def test_transform_two_body_rejects_asymmetric_input(rng):
-    g = np.zeros((2, 2, 2, 2))
-    g[0, 1, 0, 0] = 1.0
-    with pytest.raises(InputError, match="symmetry"):
-        transform_two_body(g, np.eye(2))
-
-
 def test_transform_two_body_rectangular_coefficients(rng):
     # AO -> MO style reduction: 4 raw functions onto 2 orthonormal ones
     ham = random_hamiltonian(4, rng)
@@ -155,12 +147,11 @@ def test_transform_two_body_rectangular_coefficients(rng):
 
 
 def staged_einsum_transform(g, c):
-    """The quarter transforms as einsum stages, then the canonical fill."""
+    """The quarter transforms as einsum stages."""
     out = np.einsum("abcd,ap->pbcd", g, c, optimize=True)
     out = np.einsum("pbcd,bq->pqcd", out, c, optimize=True)
     out = np.einsum("pqcd,cr->pqrd", out, c, optimize=True)
-    out = np.einsum("pqrd,ds->pqrs", out, c, optimize=True)
-    return from_pair_matrix(pair_matrix(out)[2], len(out))
+    return np.einsum("pqrd,ds->pqrs", out, c, optimize=True)
 
 
 def test_transform_two_body_matches_staged_einsum_bitwise(rng):
