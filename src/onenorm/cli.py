@@ -163,6 +163,8 @@ def _cmd_rotate(args):
 def _cmd_jacobi_scan(args):
     if args.steps < 1:
         raise InputError(f"--steps must be at least 1, got {args.steps}")
+    if not np.isfinite(args.max_angle):
+        raise InputError(f"--max-angle must be finite, got {args.max_angle}")
     ham = _load_hamiltonian(args.input)
     p, q = args.pair
     thetas = [args.max_angle * k / args.steps for k in range(args.steps + 1)]
@@ -296,7 +298,7 @@ def _cmd_optimize(args):
             "n_objective_calls": result.n_objective_calls,
             "n_gradient_calls": result.n_gradient_calls,
             "stop_reason": result.stop_reason,
-            "n_restarts": result.n_restarts,
+            "grad_inf_norm": result.trace[-1].grad_inf_norm if result.trace else None,
             "lambda_initial": result.lambda_initial,
             "lambda_start": result.lambda_start,
             "lambda_final": result.lambda_final,
@@ -433,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["current", "er", "pm", "fb", "oao"],
                    help="starting basis (default: ER-localized)")
     p.add_argument("--window", default=None)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--max-iter", type=int, default=600,
+                   help="cap on the solver's iterations over the whole run; "
+                        "0 returns the start (default: 600)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--algorithm", default="quasi-newton-bounded",
                    choices=list(OPTIMIZER_ALGORITHMS))

@@ -228,21 +228,24 @@ def cholesky_decompose(
     diag = np.diagonal(pairs).copy()
     factor = np.zeros(pairs.shape)  # zero pages: only the rows written take memory
     for rank in range(len(pairs) + 1):
-        if diag.min() < -10.0 * tolerance:
+        if diag.min(initial=0.0) < -10.0 * tolerance:
             raise NotPositiveSemidefiniteError(
                 "two-electron tensor is not positive semi-definite "
                 f"(diagonal reached {diag.min():.3e})"
             )
+        if rank == len(pairs):
+            break
         top = diag.max()
         pivot = int(order[np.argmax(diag[order] >= top - 1e-12 * abs(top))])
-        if rank == len(pairs) or diag[pivot] <= tolerance:
+        if diag[pivot] <= tolerance:
             break
         vec = (pairs[:, pivot] - factor[:rank, pivot] @ factor[:rank]) / np.sqrt(diag[pivot])
         factor[rank] = vec
         diag -= vec * vec
         diag[pivot] = 0.0
     vectors = tuple(pair_stack(factor[:rank], n))
-    return CholeskyFactorization(vectors=vectors, residual=float(diag.max()), tolerance=tolerance)
+    residual = float(diag.max(initial=0.0))
+    return CholeskyFactorization(vectors=vectors, residual=residual, tolerance=tolerance)
 
 
 def lambda_sf(factorization: CholeskyFactorization) -> float:

@@ -2,11 +2,11 @@
 
 The objective is piecewise smooth (absolute values everywhere).  Its
 exact subgradient, taken through the adjoint Frechet derivative of expm,
-is fed to bounded quasi-Newton (L-BFGS-B) or sequential-quadratic (SLSQP)
-minimization, with up to RESTARTS fresh-Hessian rounds from the best
-point when a round stalls.  The best evaluated point is tracked
-independently of the solver, so the returned basis never has a higher
-1-norm than the starting one.
+is fed to one bounded quasi-Newton (L-BFGS-B) or sequential-quadratic
+(SLSQP) run, capped at ``max_iterations`` iterations; whether it converged
+and why it stopped are scipy's own verdict.  The best evaluated point is
+tracked independently of the solver, so the returned basis never has a
+higher 1-norm than the starting one.
 """
 
 from __future__ import annotations
@@ -38,13 +38,11 @@ _ALGORITHMS = {"quasi-newton-bounded": "L-BFGS-B", "sequential-quadratic": "SLSQ
 
 _STARTS = ("current", "localized", *(f"localized:{scheme}" for scheme in SCHEMES))
 
-RESTARTS = 2  # fresh-Hessian rounds after the first, each from the best point
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     window: tuple[int, ...] | None = None
-    max_iterations: int = 200
+    max_iterations: int = 600
     convergence_tol: float = 1e-8
     algorithm: str = "quasi-newton-bounded"
     start_from: str = "localized:er"
@@ -89,8 +87,7 @@ class OptimizationResult:
     n_objective_calls: int
     n_gradient_calls: int
     start_scheme: str | None = None
-    stop_reason: str = ""  # scipy's last message, or the failure that ended the run
-    n_restarts: int = 0  # rounds run after the first
+    stop_reason: str = ""  # scipy's message, or why scipy was not run or did not finish
 
     @property
     def reduction_percent(self) -> float:
@@ -247,40 +244,30 @@ def minimize_norm(
                                      grad_inf_norm=tracked.grad_inf_norm,
                                      best_so_far=tracked.best_value))
 
-    converged = n_params == 0
-    stop_reason, n_restarts = "no free parameters", 0
-    if n_params:
-        x_current = np.zeros(n_params)
+    if n_params == 0:
+        converged, stop_reason = True, "no free parameters"
+    elif config.max_iterations == 0:  # L-BFGS-B would still take a step
+        converged, stop_reason = False, "max_iterations is 0: returned the start"
+    else:
         try:
-            for n_restarts in range(RESTARTS + 1):
-                before = tracked.best_value
-                result = scipy_minimize(
-                    tracked,
-                    x_current,
-                    jac=tracked.gradient,
-                    method=config.scipy_method,
-                    callback=callback,
-                    options={
-                        "maxiter": config.max_iterations,
-                        "ftol": config.convergence_tol,
-                    },
-                )
-                stop_reason = str(result.message)
-                x_current = tracked.best_x.copy()
-                improvement = before - tracked.best_value
-                if result.success or improvement < config.convergence_tol:
-                    # a round stopped by its iteration cap has not converged
-                    converged = bool(result.success or result.nit < config.max_iterations)
-                    break
-        except NumericalError as exc:  # a trial point failed: keep the best one
-            stop_reason = f"stopped at the best point: {exc}"
-        if not converged:
-            warnings.warn(
-                f"1-norm optimization did not converge ({stop_reason}); "
-                "returning the best point found",
-                ConvergenceWarning,
-                stacklevel=2,
+            result = scipy_minimize(
+                tracked,
+                np.zeros(n_params),
+                jac=tracked.gradient,
+                method=config.scipy_method,
+                callback=callback,
+                options={"maxiter": config.max_iterations, "ftol": config.convergence_tol},
             )
+            converged, stop_reason = bool(result.success), str(result.message)
+        except NumericalError as exc:  # a trial point failed: keep the best one
+            converged, stop_reason = False, f"stopped at the best point: {exc}"
+    if not converged:
+        warnings.warn(
+            f"1-norm optimization did not converge ({stop_reason}); "
+            "returning the best point found",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
 
     total_rotation = pre_rotation.then(_window_rotation(n, window, tracked.best_x))
     if np.array_equal(total_rotation.matrix, np.eye(n)):
@@ -299,5 +286,4 @@ def minimize_norm(
         n_gradient_calls=tracked.gradient_calls,
         start_scheme=scheme,
         stop_reason=stop_reason,
-        n_restarts=n_restarts,
     )

@@ -40,7 +40,7 @@ class OrbitalRotation:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise InputError("rotation matrix must be square")
         err = np.max(np.abs(u.T @ u - np.eye(u.shape[0])), initial=0.0)
-        if err > 1e-10:
+        if not err <= 1e-10:  # NaN entries give a NaN err
             raise InputError(f"matrix is not orthogonal (U^T U deviates by {err:.2e})")
         u.setflags(write=False)
         object.__setattr__(self, "matrix", u)

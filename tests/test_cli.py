@@ -50,6 +50,14 @@ def test_norm_cholesky_on_indefinite_exits_2(capsys, small_fcidump):
     assert "positive semi-definite" in err
 
 
+def test_norm_cholesky_on_zero_orbitals(capsys, tmp_path):
+    path = tmp_path / "empty.fcidump"
+    path.write_text(" &FCI NORB=0,NELEC=0, &END\n1.0 0 0 0 0\n")
+    code, out, _ = invoke(capsys, "norm", str(path), "--cholesky")
+    assert code == 0
+    assert json.loads(out)["lambda_SF"] == 0.0
+
+
 def test_norm_cholesky_on_psd(capsys, tmp_path, rng):
     ham = random_psd_hamiltonian(3, rng)
     path = tmp_path / "psd.fcidump"
@@ -201,8 +209,10 @@ def test_optimize_subcommand(capsys, tmp_path, small_fcidump):
     assert payload["lambda_final"] <= payload["lambda_start"] + 1e-9
     assert payload["n_gradient_calls"] >= 1
     assert payload["stop_reason"]
-    assert payload["n_restarts"] >= 0
-    assert trace_path.read_text().startswith("iteration,lambda_Q")
+    header, *rows = trace_path.read_text().splitlines()
+    assert header == "iteration,lambda_Q,grad_inf_norm,best_so_far"
+    assert len(rows) == payload["iterations"] >= 1
+    assert payload["grad_inf_norm"] == float(rows[-1].split(",")[2])
 
 
 def test_optimize_window_flag(capsys, small_fcidump):
@@ -377,6 +387,7 @@ def test_rotate_rejects_malformed_matrix_files(capsys, tmp_path, small_fcidump):
         "non-numeric": "1 x\n0 1\n",
         "differ in length": "1 0\n0\n",
         "duplicate section": write_labeled_matrix("ROTATION", np.eye(3)) * 2,
+        "not orthogonal": "nan 0 0\n0 1 0\n0 0 1\n",
     }
     for message, text in bad.items():
         matrix_path = tmp_path / "m.txt"
@@ -395,6 +406,8 @@ def test_rotate_rejects_malformed_matrix_files(capsys, tmp_path, small_fcidump):
     (["jacobi-scan", "{path}", "--pair", "0", "1", "--steps", "-2"], "--steps"),
     (["norm", "{path}", "--cholesky", "--cholesky-tol", "-1"], "Cholesky tolerance"),
     (["norm", "{path}", "--cholesky", "--cholesky-tol", "nan"], "Cholesky tolerance"),
+    (["jacobi-scan", "{path}", "--pair", "0", "1", "--max-angle", "nan"], "--max-angle"),
+    (["jacobi-scan", "{path}", "--pair", "0", "1", "--max-angle", "inf"], "--max-angle"),
 ])
 def test_negative_caps_and_tolerances_are_input_errors(capsys, small_fcidump, argv, message):
     path, _ = small_fcidump
@@ -406,16 +419,18 @@ def test_negative_caps_and_tolerances_are_input_errors(capsys, small_fcidump, ar
 
 @requires_fixtures
 def test_an_iteration_cap_is_not_convergence(capsys):
-    # the capped round improves by 0, which must not read as a stall
+    # a zero cap returns the start unmoved, and that is not convergence
     from conftest import chain_path
 
-    argv = ["optimize", chain_path(4), "--max-iter", "0",
-            "--algorithm", "sequential-quadratic"]
-    code, out, _ = invoke(capsys, *argv)
-    payload = json.loads(out)
-    assert code == 0 and not payload["converged"]
-    assert payload["stop_reason"] == "Iteration limit reached"
-    assert invoke(capsys, "--strict", *argv)[0] == 2
+    for algorithm in ("quasi-newton-bounded", "sequential-quadratic"):
+        argv = ["optimize", chain_path(4), "--max-iter", "0", "--algorithm", algorithm]
+        code, out, _ = invoke(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0 and not payload["converged"]
+        assert payload["stop_reason"] == "max_iterations is 0: returned the start"
+        assert payload["iterations"] == 0 and payload["grad_inf_norm"] is None
+        assert payload["lambda_final"] == payload["lambda_start"]
+        assert invoke(capsys, "--strict", *argv)[0] == 2
 
 
 @requires_fixtures

@@ -264,15 +264,38 @@ def test_reduction_percent(rng):
 @requires_fixtures
 def test_stop_reason_records_lbfgsb_stall_on_h20():
     # ER start, default L-BFGS-B: scipy stops after one iteration on the
-    # relative-reduction test while the gradient is still large, and the
-    # run counts as converged
+    # relative-reduction test while the gradient is still large, and calls
+    # that a success
     ham = parse_fcidump(open(chain_path(20)).read())
     result = minimize_norm(ham, OptimizerConfig())
     assert result.stop_reason == "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
     assert result.n_objective_calls == 11
-    assert result.n_restarts == 0
+    assert len(result.trace) == 1
     assert result.converged
     assert result.trace[-1].grad_inf_norm == pytest.approx(8.5, abs=0.05)
+
+
+@requires_fixtures
+@pytest.mark.parametrize("algorithm", ["quasi-newton-bounded", "sequential-quadratic"])
+def test_max_iterations_caps_the_whole_run(algorithm):
+    ham = parse_fcidump(open(chain_path(6)).read())
+    for cap in (0, 1, 5):
+        config = OptimizerConfig(algorithm=algorithm, max_iterations=cap)
+        assert len(minimize_norm(ham, config).trace) <= cap
+
+
+@pytest.mark.parametrize("algorithm", ["quasi-newton-bounded", "sequential-quadratic"])
+def test_zero_cap_returns_the_start(rng, algorithm):
+    ham = random_hamiltonian(4, rng)
+    config = OptimizerConfig(algorithm=algorithm, max_iterations=0)
+    with pytest.warns(ConvergenceWarning, match="max_iterations is 0"):
+        result = minimize_norm(ham, config)
+    er = localize(ham, None, None, LocalizationRequest(scheme="er"))
+    assert not result.converged
+    assert result.stop_reason == "max_iterations is 0: returned the start"
+    assert result.trace == () and result.n_gradient_calls == 0
+    assert np.array_equal(result.rotation.matrix, er.rotation.matrix)
+    assert result.lambda_final == result.lambda_start
 
 
 def test_lost_orthogonality_ends_the_run_at_the_best_point():

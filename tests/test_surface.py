@@ -1,17 +1,19 @@
-"""The settable surface: every CLI flag and every configuration field.
+"""The settable surface: every CLI flag and every configuration field, and
+the keys of the optimizer's JSON report.
 
 Adding a knob, or bringing back a removed one, has to change this file.
 """
 
 import argparse
 import dataclasses
+import json
 
 import pytest
 
-from onenorm import LocalizationRequest, OptimizerConfig
+from onenorm import LocalizationRequest, OptimizerConfig, write_fcidump
 from onenorm.cli import build_parser, run
 
-from conftest import H2_FCIDUMP
+from conftest import H2_FCIDUMP, random_hamiltonian
 
 SUBCOMMAND_FLAGS = {
     "norm": {"input", "--cholesky", "--cholesky-tol", "--pretty"},
@@ -62,6 +64,18 @@ def test_configuration_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(LocalizationRequest)] == [
         "scheme", "window", "convergence_tol", "max_sweeps", "method",
     ]
+
+
+def test_optimize_json_keys_are_pinned(capsys, tmp_path, rng):
+    path = tmp_path / "small.fcidump"
+    path.write_text(write_fcidump(random_hamiltonian(3, rng)))
+    assert run(["optimize", str(path), "--max-iter", "5"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "algorithm", "start", "converged", "iterations", "n_objective_calls",
+        "n_gradient_calls", "stop_reason", "grad_inf_norm", "lambda_initial",
+        "lambda_start", "lambda_final", "reduction_pct", "norms_after", "output",
+        "warnings",
+    }
 
 
 @pytest.mark.parametrize("argv", [

@@ -70,6 +70,8 @@ def test_generator_validation():
 def test_orbital_rotation_validation():
     with pytest.raises(InputError, match="orthogonal"):
         OrbitalRotation(np.array([[1.0, 0.1], [0.0, 1.0]]))
+    with pytest.raises(InputError, match="orthogonal"):
+        OrbitalRotation(np.full((2, 2), np.nan))
 
 
 def test_transform_one_body_identity_and_permutation(rng):
