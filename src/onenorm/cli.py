@@ -191,11 +191,7 @@ def _cmd_freeze(args):
         active = _parse_indices(args.active)
         if active is None:
             raise InputError("freeze requires --active or --fermi-window")
-        virtual = _parse_indices(args.virtual)
-        if virtual is None:
-            virtual = tuple(
-                sorted(set(range(ham.n_orbitals)) - set(frozen) - set(active))
-            )
+        virtual = tuple(sorted(set(range(ham.n_orbitals)) - set(frozen) - set(active)))
         spec = ActiveSpaceSpec(
             frozen=frozen,
             active=active,
@@ -284,7 +280,8 @@ def _cmd_optimize(args):
     )
     if args.trace_out:
         trace_csv = "iteration,lambda_Q,grad_inf_norm,best_so_far\n" + "".join(
-            f"{r.iteration},{r.lambda_value!r},{r.grad_inf_norm!r},{r.best_so_far!r}\n"
+            f"{r.iteration},{r.lambda_value!r},"
+            f"{'' if r.grad_inf_norm is None else repr(r.grad_inf_norm)},{r.best_so_far!r}\n"
             for r in result.trace
         )
         _write_output(args.trace_out, trace_csv)
@@ -404,11 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("freeze", help="fold frozen orbitals into an active-space Hamiltonian")
     p.add_argument("input")
     p.add_argument("--frozen", default="", help="comma list of frozen orbitals")
-    p.add_argument("--active", default=None, help="comma list of active orbitals")
+    p.add_argument("--active", default=None,
+                   help="comma list of active orbitals; unlisted orbitals are deleted")
     p.add_argument("--fermi-window", type=int, default=None,
                    help="pick this many active orbitals around the Fermi level")
-    p.add_argument("--virtual", default=None,
-                   help="comma list of deleted orbitals (default: the complement)")
     p.add_argument("--active-electrons", type=int, default=0)
     p.add_argument("-o", "--output", help="write active-space FCIDUMP here")
     common(p)

@@ -78,9 +78,13 @@ def parse_fcidump(text: str) -> MolecularHamiltonian:
     if norb < 0:
         raise InputError("NORB must be non-negative")
 
-    h = np.zeros((norb, norb))
-    seen_h = np.zeros((norb, norb), dtype=bool)
     n_pairs = norb * (norb + 1) // 2
+    try:
+        h = np.zeros((norb, norb))
+        seen_h = np.zeros((norb, norb), dtype=bool)
+        pairs = np.zeros((n_pairs, n_pairs))
+    except (ValueError, MemoryError):  # too many elements, or too many bytes
+        raise InputError(f"NORB={norb} is too large to allocate") from None
     g = {}  # flat slot a * n_pairs + b of the pair matrix, a >= b -> value
     core = 0.0
 
@@ -136,7 +140,6 @@ def parse_fcidump(text: str) -> MolecularHamiltonian:
                 )
             g[slot] = value
 
-    pairs = np.zeros((n_pairs, n_pairs))
     pairs.flat[list(g)] = list(g.values())
     return MolecularHamiltonian(
         n_orbitals=norb,
@@ -218,10 +221,9 @@ def _split_sections(lines: list[str]) -> dict[str, np.ndarray]:
             name = parts[1].upper()
             if name in sections:
                 raise InputError(f"duplicate section {name}")
-            try:
-                shape = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise InputError(f"bad dimensions in header {stripped!r}") from None
+            if not (parts[2].isdecimal() and parts[3].isdecimal()):
+                raise InputError(f"bad dimensions in header {stripped!r}")
+            shape = (int(parts[2]), int(parts[3]))
             values = []
         else:
             if name is None:
@@ -242,8 +244,9 @@ def parse_auxiliary(text: str) -> AuxiliaryIntegrals:
         raise InputError(f"unknown section name {unknown[0]!r}")
     dipoles = [sections.get(f"DIPOLE_{axis}") for axis in "XYZ"]
     present = [d for d in dipoles if d is not None]
-    if present and len(present) != 3:
-        raise InputError("DIPOLE_X, DIPOLE_Y and DIPOLE_Z must be given together")
+    if present and (len(present) != 3 or len({d.shape for d in present}) != 1):
+        raise InputError("DIPOLE_X, DIPOLE_Y and DIPOLE_Z must be given together "
+                         "and have one shape")
     dipole = np.stack(present) if len(present) == 3 else None
 
     def vector(name):
@@ -254,7 +257,7 @@ def parse_auxiliary(text: str) -> AuxiliaryIntegrals:
 
     atom_map = vector("AO_ATOM_MAP")
     if atom_map is not None:
-        if np.any(atom_map != np.round(atom_map)):
+        if not np.all(np.isfinite(atom_map) & (atom_map == np.round(atom_map))):
             raise InputError("AO_ATOM_MAP entries must be integers")
         atom_map = tuple(int(a) for a in atom_map)
     charges = vector("ATOMIC_NUMBERS")

@@ -44,6 +44,13 @@ def pair_index(p, q):
     return hi * (hi + 1) // 2 + lo
 
 
+def _pair_order(n: int):
+    """``(flat, p, q)``: the pairs p>=q row by row, which is pair order;
+    flat = p * N + q indexes a row of g reshaped to (N^2, N^2)."""
+    flat = np.flatnonzero(np.tri(n, dtype=bool))
+    return (flat, *np.divmod(flat, n))
+
+
 def pair_matrix(g: np.ndarray):
     """``(p, q, G)``: the P = N(N+1)/2 pairs p>=q in pair order and a fresh
     (P, P) array G[a, b] = g[p[a], q[a], p[b], q[b]].
@@ -52,8 +59,7 @@ def pair_matrix(g: np.ndarray):
     the canonical entries are G[a, b] with a >= b.
     """
     n = g.shape[0]
-    flat = np.flatnonzero(np.tri(n, dtype=bool))  # p>=q row by row: pair order
-    p, q = np.divmod(flat, n)
+    flat, p, q = _pair_order(n)
     return p, q, np.take(np.take(g.reshape(n * n, n * n), flat, axis=0), flat, axis=1)
 
 
@@ -72,7 +78,7 @@ def from_pair_matrix(pairs: np.ndarray, n: int) -> np.ndarray:
 def pair_stack(rows: np.ndarray, n: int) -> np.ndarray:
     """(K, N, N) symmetric matrices spread from K rows over the pairs of
     ``pair_matrix``: M_k[p, q] = M_k[q, p] = rows[k, pair(p, q)]."""
-    p, q = np.tril_indices(n)  # p>=q row by row: pair order
+    _, p, q = _pair_order(n)
     mats = np.zeros((len(rows), n, n))
     mats[:, p, q] = mats[:, q, p] = rows
     return mats
@@ -185,9 +191,10 @@ class MolecularHamiltonian:
 class AuxiliaryIntegrals:
     """AO-basis data consumed by the localization schemes.
 
-    Every field is optional; each scheme validates what it needs.  S must
-    be positive definite, and C^T S C = I is enforced when both the
-    overlap and the MO coefficients are present.
+    Every field is optional; each scheme validates what it needs.  All
+    entries must be finite, S must be non-empty and positive definite, and
+    C^T S C = I is enforced when both the overlap and the MO coefficients
+    are present.
     """
 
     ao_overlap: np.ndarray | None = None
@@ -197,11 +204,15 @@ class AuxiliaryIntegrals:
     dipole_ao: np.ndarray | None = None  # stacked (3, M, M)
 
     def __post_init__(self):
+        for name in ("ao_overlap", "mo_coefficients", "dipole_ao", "atomic_numbers"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise InputError(f"{name} contains non-finite entries")
         s = self.ao_overlap
         if s is not None:
             s = _freeze(s)
-            if s.ndim != 2 or s.shape[0] != s.shape[1]:
-                raise InputError("overlap matrix must be square")
+            if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
+                raise InputError("overlap matrix must be square and non-empty")
             if np.max(np.abs(s - s.T), initial=0.0) > 1e-10:
                 raise InputError("overlap matrix is not symmetric")
             if np.linalg.eigvalsh(s).min() <= 1e-10:
@@ -264,7 +275,7 @@ class AuxiliaryIntegrals:
         ):
             s, c = self.ao_overlap, self.mo_coefficients
             gram = c.T @ s @ c
-            err = np.max(np.abs(gram - np.eye(c.shape[1])))
+            err = np.max(np.abs(gram - np.eye(c.shape[1])), initial=0.0)
             if err > 1e-8:
                 raise InputError(f"MO coefficients not S-orthonormal (deviation {err:.2e})")
 
@@ -329,16 +340,9 @@ class ActiveSpaceSpec:
             raise InputError("negative active electron count")
 
 
-# Diagonal views of the six classes with a repeated index, as einsum
-# subscripts; each view is read where its free indices are pairwise distinct.
-_CLASS_VIEWS = {
-    "pppp": ("pppp->p",),
-    "pqqq": ("pqqq->pq", "qpqq->pq", "qqpq->pq", "qqqp->pq"),
-    "pqpq": ("pqpq->pq", "pqqp->pq"),
-    "ppqq": ("ppqq->pq",),
-    "pqrq": ("pqps->pqs", "pqrp->pqr", "pqqs->pqs", "pqrq->pqr"),
-    "pprs": ("pprs->prs", "pqrr->pqr"),
-}
+# Class of an index tuple, as an index into CLASS_NAMES, by [number of equal
+# pairs among (p, q, r, s), whether p = q or r = s]; 4 or 5 cannot occur.
+_CLASS_OF_COINCIDENCE = np.array([[6, 6], [4, 5], [2, 3], [1, 1], [-1, -1], [-1, -1], [0, 0]])
 
 
 def class_decomposition(ham: MolecularHamiltonian) -> dict[str, float]:
@@ -356,36 +360,22 @@ def class_decomposition(ham: MolecularHamiltonian) -> dict[str, float]:
       pqrs  all four distinct
 
     The seven sums add up to the unrestricted sum over all N^4 entries.
-    The first six are read from O(N^3) diagonal views; pqrs goes one
-    p-slab at a time, so the extra memory is O(N^3).
+    One pass over the rows of the pair matrix, N rows at a time so the
+    extra memory is O(N^3): each |G[a, b]| stands for its 1, 2 or 4
+    images, and its class follows from how many index pairs coincide.
     """
     n = ham.n_orbitals
-    g = ham.two_body_dense()
-    i = np.arange(n)
-    distinct = {  # masks of pairwise-distinct indices, by count
-        1: np.ones(n, dtype=bool),
-        2: i[:, None] != i,
-        3: (i[:, None, None] != i[:, None]) & (i[:, None, None] != i)
-        & (i[:, None] != i),
-    }
-
-    def abs_sum(parts) -> float:  # parts are gathered copies, so |.| in place
-        return float(sum(
-            np.sum(np.abs(part, out=part), dtype=np.longdouble) for part in parts
-        ))
-
-    out = {
-        name: abs_sum(
-            np.einsum(sub, g)[distinct[len(sub.split("->")[1])]] for sub in subs
-        )
-        for name, subs in _CLASS_VIEWS.items()
-    }
-
-    def all_distinct_slabs():
-        for p in range(n):
-            keep = distinct[3].copy()
-            keep[p] = keep[:, p] = keep[:, :, p] = False
-            yield g[p][keep]
-
-    out["pqrs"] = abs_sum(all_distinct_slabs())
-    return out
+    flat, p, q = _pair_order(n)
+    rows = ham.two_body_dense().reshape(n * n, n * n)
+    images = np.where(p == q, 1.0, 2.0)
+    sums = np.zeros(len(CLASS_NAMES), dtype=np.longdouble)
+    for start in range(0, len(flat), max(n, 1)):
+        a = slice(start, start + n)
+        block = np.abs(rows[flat[a, None], flat])
+        block *= images[a, None] * images
+        i, j = p[a, None], q[a, None]  # the block's bra pairs; kets are (p, q)
+        inside = ((i == j) | (p == q)).view(np.int8)
+        equal = sum(x.view(np.int8) for x in (i == j, p == q, i == p, i == q, j == p, j == q))
+        classes = _CLASS_OF_COINCIDENCE[equal, inside]
+        sums += np.bincount(classes.ravel(), block.ravel(), len(CLASS_NAMES))
+    return {name: float(total) for name, total in zip(CLASS_NAMES, sums)}

@@ -36,7 +36,7 @@ __all__ = [
 
 _ALGORITHMS = {"quasi-newton-bounded": "L-BFGS-B", "sequential-quadratic": "SLSQP"}
 
-_STARTS = ("current", "localized", *(f"localized:{scheme}" for scheme in SCHEMES))
+_STARTS = ("current", *(f"localized:{scheme}" for scheme in SCHEMES))
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,14 @@ class OptimizerConfig:
     def start_scheme(self) -> str | None:
         if self.start_from == "current":
             return None
-        return self.start_from.partition(":")[2] or "er"
+        return self.start_from.partition(":")[2]
 
 
 @dataclass(frozen=True)
 class IterationRecord:
     iteration: int
     lambda_value: float
-    grad_inf_norm: float
+    grad_inf_norm: float | None  # None unless the last gradient was at this point
     best_so_far: float
 
 
@@ -167,8 +167,9 @@ def _gradient(kvec, window, rotated) -> np.ndarray:
 
 
 class _TrackedObjective:
-    """Objective and gradient for scipy: call counts, the best point, and
-    the last point's rotation, which a gradient at that point reuses."""
+    """Objective and gradient for scipy: call counts, the best point, the
+    last point's rotation, which a gradient at that point reuses, and the
+    last gradient's point and infinity-norm."""
 
     def __init__(self, ham_ref, window):
         self.ham_ref = ham_ref
@@ -177,6 +178,7 @@ class _TrackedObjective:
         self.gradient_calls = 0
         self.best_value = np.inf
         self.best_x = None
+        self.grad_x = None
         self.grad_inf_norm = np.nan
         self._x = None
         self._value = None
@@ -197,6 +199,7 @@ class _TrackedObjective:
         self(x)
         grad = _gradient(self._x, self.window, self._rotated)
         self.gradient_calls += 1
+        self.grad_x = self._x
         self.grad_inf_norm = float(np.max(np.abs(grad), initial=0.0))
         return grad
 
@@ -240,8 +243,9 @@ def minimize_norm(
 
     def callback(xk, *_args):
         value = tracked(xk)
+        at_xk = np.array_equal(xk, tracked.grad_x)  # SLSQP reports xk before its gradient
         trace.append(IterationRecord(iteration=len(trace), lambda_value=value,
-                                     grad_inf_norm=tracked.grad_inf_norm,
+                                     grad_inf_norm=tracked.grad_inf_norm if at_xk else None,
                                      best_so_far=tracked.best_value))
 
     if n_params == 0:

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from onenorm import write_fcidump
 from onenorm.cli import run
@@ -451,3 +453,83 @@ def test_convergence_warnings_are_reported_in_the_json(capsys):
         f"1-norm optimization did not converge ({payload['stop_reason']}); "
         "returning the best point found"
     ]
+
+
+_TOKENS = st.sampled_from(
+    ["0", "1", "2", "-1", "0.5", "1.0", "nan", "inf", "-inf", "1e400", "x", ""]
+)
+
+
+@st.composite
+def fcidump_texts(draw):
+    """FCIDUMP text near the format: small NORB, mutated header and lines."""
+    size = st.one_of(st.integers(-1, 6).map(str), st.sampled_from([str(10**20), "x", "1.5", ""]))
+    norb, nelec = draw(size), draw(size)
+    end = draw(st.sampled_from([" &END", " /", ""]))
+    index = st.one_of(st.integers(-1, 7).map(str), st.sampled_from(["x", "1.5"]))
+    line = st.tuples(_TOKENS, st.lists(index, min_size=3, max_size=5))
+    body = [" ".join([value, *labels]) for value, labels in draw(st.lists(line, max_size=8))]
+    return "\n".join([f" &FCI NORB={norb},NELEC={nelec},{end}", *body]) + "\n"
+
+
+# a valid two-AO auxiliary file for a two-orbital Hamiltonian, section by section
+_AUX_SECTIONS = {
+    "OVERLAP": (2, 2, ["1.0", "0.0", "0.0", "1.0"]),
+    "MO_COEFF": (2, 2, ["1.0", "0.0", "0.0", "1.0"]),
+    "AO_ATOM_MAP": (1, 2, ["0", "1"]),
+    "ATOMIC_NUMBERS": (1, 2, ["1.0", "1.0"]),
+    "DIPOLE_X": (2, 2, ["0.0", "0.1", "0.1", "1.0"]),
+    "DIPOLE_Y": (2, 2, ["0.0", "0.0", "0.0", "0.0"]),
+    "DIPOLE_Z": (2, 2, ["0.0", "0.0", "0.0", "0.0"]),
+}
+
+
+@st.composite
+def aux_texts(draw):
+    """The valid auxiliary file with sections dropped, renamed, resized or
+    refilled."""
+    chunks = []
+    for name, (rows, cols, values) in _AUX_SECTIONS.items():
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        name = draw(st.sampled_from([name, name, "BOGUS"]))
+        dim = st.integers(-1, 3)
+        rows, cols = draw(st.one_of(st.just((rows, cols)), st.tuples(dim, dim)))
+        count = abs(rows * cols)  # a count that fits the header, or one that does not
+        values = draw(st.one_of(st.just(values), st.lists(_TOKENS, min_size=count, max_size=count),
+                                st.lists(_TOKENS, max_size=6)))
+        rows = draw(st.sampled_from([rows, rows, "x"]))
+        chunks.append(f"#SECTION {name} {rows} {cols}\n{' '.join(values)}\n")
+    return "".join(chunks)
+
+
+@example(" &FCI NORB=100000000000000000000,NELEC=2, &END\n")
+@given(fcidump_texts())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_fcidump_is_an_input_error(tmp_path, text):
+    path = tmp_path / "fuzz.fcidump"
+    path.write_text(text)
+    assert run(["norm", str(path)]) in (0, 1)
+
+
+@example("#SECTION OVERLAP 0 0\n\n")
+@example("#SECTION OVERLAP -1 -1\n0\n")
+@example("#SECTION AO_ATOM_MAP 1 2\n0 inf\n")
+@example("#SECTION OVERLAP 2 2\n1 0 0 1\n#SECTION MO_COEFF 2 0\n\n")
+@example("#SECTION DIPOLE_X 1 1\n0\n#SECTION DIPOLE_Y 0 0\n\n#SECTION DIPOLE_Z 1 1\n0\n")
+@example("#SECTION OVERLAP 2 2\nnan 0 0 1\n#SECTION MO_COEFF 2 2\n1 0 0 1\n")
+@example("#SECTION OVERLAP 2 2\n1 0 0 1\n#SECTION MO_COEFF 2 2\nnan 0 0 1\n")
+@given(aux_texts())
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_aux_is_an_input_error(tmp_path, text):
+    ham = tmp_path / "two_orbitals.fcidump"
+    if not ham.exists():
+        ham.write_text(write_fcidump(random_hamiltonian(2, np.random.default_rng(3))))
+    aux = tmp_path / "fuzz_aux.txt"
+    aux.write_text(text)
+    for scheme in ("pm", "fb", "oao"):
+        assert run(["localize", str(ham), "--scheme", scheme, "--aux", str(aux)]) in (0, 1)
+        assert run(["optimize", str(ham), "--start", scheme, "--aux", str(aux),
+                    "--max-iter", "2"]) in (0, 1)

@@ -31,10 +31,10 @@ def test_config_validation():
 def test_start_from_is_one_of_the_named_starts():
     from onenorm.localize import SCHEMES
 
-    assert OptimizerConfig(start_from="localized").start_scheme() == "er"
     for scheme in SCHEMES:
         assert OptimizerConfig(start_from=f"localized:{scheme}").start_scheme() == scheme
-    for start in ("localizedfoo", "localized:xyz", "localized:", "Localized:er", "current:er"):
+    for start in ("localized", "localizedfoo", "localized:xyz", "localized:", "Localized:er",
+                  "current:er"):
         with pytest.raises(InputError, match="start_from"):
             OptimizerConfig(start_from=start)
 
@@ -282,6 +282,36 @@ def test_max_iterations_caps_the_whole_run(algorithm):
     for cap in (0, 1, 5):
         config = OptimizerConfig(algorithm=algorithm, max_iterations=cap)
         assert len(minimize_norm(ham, config).trace) <= cap
+
+
+@requires_fixtures
+@pytest.mark.parametrize("algorithm", ["quasi-newton-bounded", "sequential-quadratic"])
+def test_trace_gradient_norms_are_taken_at_the_iterate(monkeypatch, algorithm):
+    # SLSQP reports an iterate before taking the gradient there, so a row
+    # may carry no norm; a norm it does carry is the one at its own point
+    import onenorm.optimize as optimize_module
+    from onenorm.optimize import _gradient
+
+    points = []
+    scipy_minimize = optimize_module.scipy_minimize
+
+    def recording_minimize(*args, callback, **kwargs):
+        def record(xk, *rest):
+            points.append(np.array(xk, dtype=float))
+            return callback(xk, *rest)
+        return scipy_minimize(*args, callback=record, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "scipy_minimize", recording_minimize)
+    ham = parse_fcidump(open(chain_path(6)).read())
+    result = minimize_norm(ham, OptimizerConfig(algorithm=algorithm, start_from="current"))
+    window = tuple(range(ham.n_orbitals))
+    assert len(points) == len(result.trace) > 0
+    for x, record in zip(points, result.trace):
+        if record.grad_inf_norm is not None:
+            _, *rotated = objective(ham, x, window, full_output=True)
+            assert record.grad_inf_norm == np.max(np.abs(_gradient(x, window, rotated)))
+    if algorithm == "quasi-newton-bounded":  # L-BFGS-B takes it at every iterate
+        assert all(record.grad_inf_norm is not None for record in result.trace)
 
 
 @pytest.mark.parametrize("algorithm", ["quasi-newton-bounded", "sequential-quadratic"])

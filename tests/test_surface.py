@@ -20,7 +20,7 @@ SUBCOMMAND_FLAGS = {
     "classes": {"input", "--csv", "--pretty"},
     "rotate": {"input", "--matrix", "-o", "--output", "--pretty"},
     "jacobi-scan": {"input", "--pair", "--steps", "--max-angle", "--csv", "--pretty"},
-    "freeze": {"input", "--frozen", "--active", "--fermi-window", "--virtual",
+    "freeze": {"input", "--frozen", "--active", "--fermi-window",
                "--active-electrons", "-o", "--output", "--pretty"},
     "localize": {"input", "--scheme", "--method", "--aux", "--window", "--tol",
                  "--max-sweeps", "--rotation-out", "-o", "--output", "--pretty"},
@@ -83,6 +83,7 @@ def test_optimize_json_keys_are_pinned(capsys, tmp_path, rng):
     ["localize", H2_FCIDUMP, "--scheme", "er", "--seed", "3"],
     ["optimize", H2_FCIDUMP, "--algorithm", "slsqp"],
     ["optimize", H2_FCIDUMP, "--algorithm", "lbfgsb"],
+    ["freeze", H2_FCIDUMP, "--active", "0,1", "--virtual", ""],
 ])
 def test_removed_flags_and_aliases_are_usage_errors(capsys, argv):
     assert run(argv) == 1
