@@ -27,7 +27,9 @@ from .norms import (
     lambda_v_prime,
     norm_report,
 )
-from .optimize import OptimizerConfig, OptimizationResult, minimize_norm, objective
+from .optimize import (
+    OptimizerConfig, OptimizationResult, jacobi_rotation_norm_scan, minimize_norm, objective,
+)
 from .qubit_oracle import (
     PauliTermSum,
     dense_matrix,
@@ -41,7 +43,6 @@ from .transform import (
     OrbitalRotation,
     exp_generator,
     freeze_core,
-    jacobi_rotation_norm_scan,
     lowdin_orthogonalize,
     rotate_hamiltonian,
     transform_one_body,

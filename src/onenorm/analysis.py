@@ -45,8 +45,8 @@ def fit_scaling(points) -> ScalingFit:
     pts = [(float(n), float(lam)) for n, lam in points]
     if len(pts) < 3:
         raise InputError(f"need at least 3 points for a scaling fit, got {len(pts)}")
-    if any(n <= 0 or lam <= 0 for n, lam in pts):
-        raise InputError("scaling fits need strictly positive sizes and norms")
+    if not all(0.0 < x < np.inf for point in pts for x in point):  # NaN fails too
+        raise InputError("scaling fits need finite, strictly positive sizes and norms")
     log_n = np.log([n for n, _ in pts])
     log_l = np.log([lam for _, lam in pts])
     if np.ptp(log_n) == 0.0:

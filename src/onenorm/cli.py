@@ -25,14 +25,9 @@ from .localize import SCHEMES as LOCALIZE_SCHEMES
 from .localize import LocalizationRequest
 from .localize import localize as run_localize
 from .optimize import _ALGORITHMS as OPTIMIZER_ALGORITHMS
-from .optimize import OptimizerConfig, minimize_norm
+from .optimize import OptimizerConfig, jacobi_rotation_norm_scan, minimize_norm
 from .integrals import ActiveSpaceSpec, class_decomposition
-from .transform import (
-    OrbitalRotation,
-    freeze_core,
-    jacobi_rotation_norm_scan,
-    rotate_hamiltonian,
-)
+from .transform import OrbitalRotation, freeze_core, rotate_hamiltonian
 
 __all__ = ["main", "run"]
 
@@ -191,12 +186,8 @@ def _cmd_freeze(args):
         active = _parse_indices(args.active)
         if active is None:
             raise InputError("freeze requires --active or --fermi-window")
-        virtual = tuple(sorted(set(range(ham.n_orbitals)) - set(frozen) - set(active)))
         spec = ActiveSpaceSpec(
-            frozen=frozen,
-            active=active,
-            virtual=virtual,
-            n_active_electrons=args.active_electrons,
+            frozen=frozen, active=active, n_active_electrons=args.active_electrons
         )
     active_ham, shift = freeze_core(ham, spec)
     _write_output(args.output, fcidump.write_fcidump(active_ham))

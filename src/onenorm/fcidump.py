@@ -81,11 +81,14 @@ def parse_fcidump(text: str) -> MolecularHamiltonian:
     n_pairs = norb * (norb + 1) // 2
     try:
         h = np.zeros((norb, norb))
-        seen_h = np.zeros((norb, norb), dtype=bool)
         pairs = np.zeros((n_pairs, n_pairs))
+        seen_h = bytearray(norb * norb)
+        seen_g = bytearray(n_pairs * n_pairs)
     except (ValueError, MemoryError):  # too many elements, or too many bytes
         raise InputError(f"NORB={norb} is too large to allocate") from None
-    g = {}  # flat slot a * n_pairs + b of the pair matrix, a >= b -> value
+    # flat views: h slot p * norb + q (p >= q), g slot a * n_pairs + b (a >= b)
+    h_flat = memoryview(h.reshape(-1))
+    g_flat = memoryview(pairs.reshape(-1))
     core = 0.0
 
     for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
@@ -109,38 +112,32 @@ def parse_fcidump(text: str) -> MolecularHamiltonian:
                 )
         if i == j == k == l == 0:
             core = value
-        elif k == 0 and l == 0:
+            continue
+        if k == 0 and l == 0:
             if i == 0 or j == 0:
                 raise InputError(f"line {lineno}: malformed index pattern {raw!r}")
-            p, q = i - 1, j - 1
-            hi, lo = max(p, q), min(p, q)
-            if seen_h[hi, lo] and abs(h[hi, lo] - value) > 1e-10:
-                warnings.warn(
-                    f"line {lineno}: conflicting duplicate for h[{i},{j}] "
-                    f"({float(h[hi, lo])!r} -> {value!r})",
-                    DataWarning,
-                    stacklevel=2,
-                )
-            h[hi, lo] = h[lo, hi] = value
-            seen_h[hi, lo] = True
+            store, seen = h_flat, seen_h
+            slot = (i - 1) * norb + j - 1 if i >= j else (j - 1) * norb + i - 1
         elif 0 in (i, j, k, l):
             raise InputError(f"line {lineno}: malformed index pattern {raw!r}")
         else:
             # pair indices of {i, j} and {k, l}, inline: this runs once per line
             a = i * (i - 1) // 2 + j - 1 if i >= j else j * (j - 1) // 2 + i - 1
             b = k * (k - 1) // 2 + l - 1 if k >= l else l * (l - 1) // 2 + k - 1
+            store, seen = g_flat, seen_g
             slot = a * n_pairs + b if a >= b else b * n_pairs + a
-            old = g.get(slot)
-            if old is not None and abs(old - value) > 1e-10:
-                warnings.warn(
-                    f"line {lineno}: conflicting duplicate for g[{i},{j},{k},{l}] "
-                    f"({old!r} -> {value!r})",
-                    DataWarning,
-                    stacklevel=2,
-                )
-            g[slot] = value
+        if seen[slot] and abs(store[slot] - value) > 1e-10:
+            name = f"h[{i},{j}]" if k == 0 else f"g[{i},{j},{k},{l}]"
+            warnings.warn(
+                f"line {lineno}: conflicting duplicate for {name} "
+                f"({store[slot]!r} -> {value!r})",
+                DataWarning,
+                stacklevel=2,
+            )
+        store[slot] = value
+        seen[slot] = 1
 
-    pairs.flat[list(g)] = list(g.values())
+    h += np.tril(h, -1).T  # h lines fill the lower triangle
     return MolecularHamiltonian(
         n_orbitals=norb,
         core_constant=core,
@@ -159,8 +156,8 @@ def write_fcidump(ham: MolecularHamiltonian) -> str:
     bitwise every two-body entry, the lower triangle of h and the core
     constant; entries of magnitude 1e-12 or less read back as zero.  The
     upper triangle of h is rebuilt from the lower one, so all of h
-    round-trips when h is exactly symmetric, as ``parse_fcidump``,
-    ``rotate_hamiltonian`` and ``freeze_core`` make it.
+    round-trips, because the ``MolecularHamiltonian`` constructor makes h
+    exactly symmetric.
     """
     n = ham.n_orbitals
     nelec = ham.n_electrons if ham.n_electrons is not None else 0

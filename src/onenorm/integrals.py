@@ -12,7 +12,7 @@ hold exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,10 +130,11 @@ class MolecularHamiltonian:
     """Spin-free electronic Hamiltonian: core constant, h_pq, dense g_pqrs.
 
     All energies in Hartree.  Instances are immutable; the arrays are
-    flagged read-only so they can be shared freely.  h is copied and must
-    be symmetric to 1e-12.  The constructor is the one place where g
-    becomes canonical: one ``symmetrize_two_body`` call checks it and
-    stores its fill, a new array whose eight images are exactly equal.
+    flagged read-only so they can be shared freely.  The constructor is
+    the one place where h and g become exactly symmetric: h must be
+    symmetric to 1e-12 max(1, max|h|) and is stored as 1/2 (h + h^T), and one
+    ``symmetrize_two_body`` call checks g and stores its fill, a new array
+    whose eight images are exactly equal.
     """
 
     n_orbitals: int
@@ -144,7 +145,7 @@ class MolecularHamiltonian:
 
     def __post_init__(self):
         n = self.n_orbitals
-        h = _freeze(self.one_body)
+        h = np.asarray(self.one_body, dtype=float)
         if h.shape != (n, n):
             raise InputError(f"one-body tensor shape {h.shape}, expected ({n}, {n})")
         if (shape := np.shape(self.two_body)) != (n, n, n, n):
@@ -155,10 +156,12 @@ class MolecularHamiltonian:
             raise InputError("Hamiltonian contains non-finite entries")
         if not np.isfinite(self.core_constant):
             raise InputError("core constant is not finite")
-        if n and np.max(np.abs(h - h.T)) > 1e-12:
-            raise InputError("one-body tensor is not symmetric to 1e-12")
+        # relative above |h| = 1: a rotation's round-off grows with max|h|
+        if n and np.max(np.abs(h - h.T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
+            raise InputError("one-body tensor is not symmetric to 1e-12 max(1, max|h|)")
         g = symmetrize_two_body(self.two_body)
-        object.__setattr__(self, "one_body", h)
+        # halved before the sum, so no finite h overflows
+        object.__setattr__(self, "one_body", _freeze(0.5 * h + 0.5 * h.T))
         object.__setattr__(self, "two_body", g)
         object.__setattr__(self, "core_constant", float(self.core_constant))
 
@@ -282,17 +285,15 @@ class AuxiliaryIntegrals:
 
 @dataclass(frozen=True)
 class ActiveSpaceSpec:
-    """Frozen / active / virtual partition of the spatial orbitals."""
+    """Frozen and active spatial orbitals; every other orbital is virtual."""
 
     frozen: tuple[int, ...]
     active: tuple[int, ...]
-    virtual: tuple[int, ...] = field(default_factory=tuple)
     n_active_electrons: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "frozen", tuple(int(i) for i in self.frozen))
         object.__setattr__(self, "active", tuple(int(i) for i in self.active))
-        object.__setattr__(self, "virtual", tuple(int(i) for i in self.virtual))
 
     @classmethod
     def around_fermi(cls, n_orbitals, n_electrons, n_active_orbitals,
@@ -317,20 +318,18 @@ class ActiveSpaceSpec:
                 f"{n_frozen} frozen + {n_active_orbitals} active orbitals "
                 f"exceed the {n_orbitals} available"
             )
-        frozen = tuple(range(n_frozen))
-        active = tuple(range(n_frozen, n_frozen + n_active_orbitals))
-        virtual = tuple(range(n_frozen + n_active_orbitals, n_orbitals))
-        spec = cls(frozen=frozen, active=active, virtual=virtual,
+        spec = cls(frozen=tuple(range(n_frozen)),
+                   active=tuple(range(n_frozen, n_frozen + n_active_orbitals)),
                    n_active_electrons=n_active_electrons)
         spec.validate(n_orbitals)
         return spec
 
     def validate(self, n_orbitals: int):
-        union = sorted(self.frozen + self.active + self.virtual)
-        if union != list(range(n_orbitals)):
+        chosen = self.frozen + self.active
+        if len(set(chosen)) != len(chosen) or not all(0 <= i < n_orbitals for i in chosen):
             raise InputError(
-                "frozen/active/virtual lists must partition the orbital range "
-                f"0..{n_orbitals - 1} without overlap"
+                "frozen and active orbitals must be distinct indices in "
+                f"0..{n_orbitals - 1}"
             )
         if self.n_active_electrons % 2 != 0:
             raise InputError("active electron count must be even (closed-shell)")

@@ -159,13 +159,27 @@ def _self_repulsion(g, window) -> float:
     return float(np.sum(np.einsum("pppp->p", g)[list(window)], dtype=np.longdouble))
 
 
-def _mo_dipoles(coeff, aux: AuxiliaryIntegrals):
-    if aux is None or aux.dipole_ao is None:
-        raise InputError("scheme needs dipole integrals: missing DIPOLE_X/Y/Z sections")
+def _mo_coefficients(coeff, aux: AuxiliaryIntegrals, n_ao: int, n_orbitals=None,
+                     default=None):
+    """``coeff``, else the MO_COEFF section, else ``default``, checked to be
+    ``n_ao`` by ``n_orbitals`` (any column count when that is None)."""
     if coeff is None:
         coeff = aux.mo_coefficients
     if coeff is None:
+        coeff = default
+    if coeff is None:
         raise InputError("scheme needs MO coefficients (argument or MO_COEFF section)")
+    coeff = np.asarray(coeff, dtype=float)
+    expected = (n_ao, coeff.shape[-1] if n_orbitals is None else n_orbitals)
+    if coeff.shape != expected:
+        raise InputError(f"MO coefficients have shape {coeff.shape}, expected {expected}")
+    return coeff
+
+
+def _mo_dipoles(coeff, aux: AuxiliaryIntegrals, n_orbitals=None):
+    if aux is None or aux.dipole_ao is None:
+        raise InputError("scheme needs dipole integrals: missing DIPOLE_X/Y/Z sections")
+    coeff = _mo_coefficients(coeff, aux, aux.dipole_ao.shape[1], n_orbitals)
     return [coeff.T @ aux.dipole_ao[k] @ coeff for k in range(3)]
 
 
@@ -174,7 +188,7 @@ def cost_fb(coeff, aux: AuxiliaryIntegrals, window) -> float:
     return _stack_objective(np.array(_mo_dipoles(coeff, aux)), np.ones(3), window)
 
 
-def _population_matrices(coeff, aux: AuxiliaryIntegrals):
+def _population_matrices(coeff, aux: AuxiliaryIntegrals, n_orbitals=None):
     """Symmetrized per-atom Mulliken population matrices in the MO basis."""
     if aux is None:
         raise InputError("scheme needs AO data (overlap, atom map, charges)")
@@ -185,10 +199,7 @@ def _population_matrices(coeff, aux: AuxiliaryIntegrals):
     ):
         if value is None:
             raise InputError(f"scheme needs the {name} section")
-    if coeff is None:
-        coeff = aux.mo_coefficients
-    if coeff is None:
-        raise InputError("scheme needs MO coefficients (argument or MO_COEFF section)")
+    coeff = _mo_coefficients(coeff, aux, len(aux.ao_overlap), n_orbitals)
     sc = aux.ao_overlap @ coeff
     atoms = sorted(set(aux.ao_to_atom))
     mats = []
@@ -240,9 +251,9 @@ def _objective_stack(ham, coeff, aux, scheme):
     if scheme == "er":
         return _er_factors(ham.two_body_dense())
     if scheme == "fb":
-        mats = _mo_dipoles(coeff, aux)
+        mats = _mo_dipoles(coeff, aux, ham.n_orbitals)
     else:
-        _, mats = _population_matrices(coeff, aux)
+        _, mats = _population_matrices(coeff, aux, ham.n_orbitals)
     return np.array(mats, dtype=float), np.ones(len(mats))
 
 
@@ -371,20 +382,14 @@ def _localize_oao(ham, coeff, aux, request):
     if aux is None or aux.ao_overlap is None:
         raise InputError("OAO needs the OVERLAP section")
     s = aux.ao_overlap
-    if coeff is None:
-        coeff = aux.mo_coefficients
     n = ham.n_orbitals
-    if coeff is None:
-        if np.max(np.abs(s - np.eye(s.shape[0]))) > 1e-10:
-            raise InputError(
-                "OAO needs MO coefficients relating the Hamiltonian basis to the AOs"
-            )
-        coeff = np.eye(n)
-    if coeff.shape != (n, n):
+    if len(s) != n:
         raise InputError(
-            "OAO applies to the full orbital space: MO coefficients must be "
-            f"square of dimension {n}, got {coeff.shape}"
+            f"OAO applies to the full orbital space: {len(s)} AOs for {n} orbitals"
         )
+    orthonormal = np.max(np.abs(s - np.eye(n)), initial=0.0) <= 1e-10
+    # orthonormal AOs are the orbitals
+    coeff = _mo_coefficients(coeff, aux, n, n, default=np.eye(n) if orthonormal else None)
     inv_sqrt = lowdin_orthogonalize(s)
     v = np.linalg.solve(coeff, inv_sqrt)
     # project to the nearest orthogonal matrix (polar factor)
@@ -450,16 +455,11 @@ def localize(
             ConvergenceWarning,
             stacklevel=2,
         )
-    if np.array_equal(u, np.eye(ham.n_orbitals)):
-        rotation = OrbitalRotation.identity(ham.n_orbitals)
-        rotated = ham
-    else:
-        rotation = OrbitalRotation(u)
-        rotated = rotate_hamiltonian(ham, rotation)
+    rotation = OrbitalRotation(u)
     return LocalizationResult(
         scheme=request.scheme,
         rotation=rotation,
-        hamiltonian=rotated,
+        hamiltonian=rotate_hamiltonian(ham, rotation),
         converged=converged,
         sweeps=sweeps,
         objective_per_sweep=tuple(log),

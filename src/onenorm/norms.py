@@ -45,6 +45,7 @@ __all__ = [
     "cholesky_decompose",
     "lambda_sf",
     "t_matrix",
+    "v_prime_quarter",
 ]
 
 
@@ -71,15 +72,22 @@ def _lambda_t(h, g) -> float:
     return _abs_sum(t_matrix(h, g))
 
 
-def _lambda_v_prime(g, abs_sum_g=None) -> float:
-    """lambda_V' from the p>r, s>q quarter of g; ``abs_sum_g`` is sum |g|
-    when the caller has it."""
+def v_prime_quarter(g):
+    """``(p, q, r, s, d)``: index arrays that broadcast to the p>r, s>q
+    quarter lambda_V' sums over, and a fresh d = g_pqrs - g_psrq there."""
     n = g.shape[0]
     p, r = np.tril_indices(n, -1)
     q, s = np.triu_indices(n, 1)
     p, r = p[:, None], r[:, None]
-    antisym = g[p, q, r, s]
-    antisym -= g[p, s, r, q]  # g_pqrs - g_psrq
+    d = g[p, q, r, s]
+    d -= g[p, s, r, q]
+    return p, q, r, s, d
+
+
+def _lambda_v_prime(g, abs_sum_g=None) -> float:
+    """lambda_V' from the quarter of ``v_prime_quarter``; ``abs_sum_g`` is
+    sum |g| when the caller has it."""
+    *_, antisym = v_prime_quarter(g)
     np.abs(antisym, out=antisym)
     if abs_sum_g is None:
         abs_sum_g = _abs_sum(g)

@@ -23,7 +23,7 @@ from .integrals import AuxiliaryIntegrals, MolecularHamiltonian
 from .localize import (
     SCHEMES, LocalizationRequest, check_limits, check_window, localize, resolve_window,
 )
-from .norms import lambda_q, t_matrix
+from .norms import lambda_q, t_matrix, v_prime_quarter
 from .transform import AntisymmetricGenerator, OrbitalRotation, exp_generator, rotate_hamiltonian
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "OptimizationResult",
     "IterationRecord",
     "objective",
+    "jacobi_rotation_norm_scan",
     "minimize_norm",
 ]
 
@@ -133,12 +134,21 @@ def objective(ham_ref: MolecularHamiltonian, kvec, window=None, full_output=Fals
     return (value, rotation, rotated) if full_output else value
 
 
+def jacobi_rotation_norm_scan(ham, p, q, thetas):
+    """``objective`` on the one coordinate K_pq = theta, per angle: the (p, q)
+    block of the rotation is [[cos, -sin], [sin, cos]].  Angles are reduced
+    to (-pi, pi] first, where exp(-K) stays orthogonal."""
+    return [objective(ham, [np.arctan2(np.sin(t), np.cos(t))], window=(p, q)) for t in thetas]
+
+
 def _gradient(kvec, window, rotated) -> np.ndarray:
     """Exact subgradient of ``objective`` with respect to ``kvec``, O(N^5).
 
     lambda_Q depends on the rotated integrals through t' = U^T t U (the
-    lambda_T matrix) and g', with partials sign(t') and
-    C = 1/4 sign(g') + 1/2 (B - B_psrq), B = [p>r, s>q] sign(g' - g'_psrq).
+    lambda_T matrix) and g', with partials sign(t') and C: 1/4 sign(g'),
+    plus 1/2 sign(d) at (p, q, r, s) and -1/2 sign(d) at (p, s, r, q) for
+    the (p, q, r, s, d) of ``v_prime_quarter``.  C holds multiples of 1/4,
+    so any summation order gives it exactly.
     So dlambda/dU = U F, F = t' sign(t')^T + t'^T sign(t') + (g' contracted
     with C over each of its four slots), and dlambda/dK = -L(K, dlambda/dU)
     on the window, L being the Frechet derivative of expm (U = exp(-K)).
@@ -148,13 +158,15 @@ def _gradient(kvec, window, rotated) -> np.ndarray:
     """
     window = list(window)
     rotation, ham = rotated
-    n = ham.n_orbitals
     g = ham.two_body_dense()
     t = t_matrix(ham.one_body, g)
     sign_t = np.sign(t)
-    p, q, r, s = np.ogrid[0:n, 0:n, 0:n, 0:n]
-    b = np.where((p > r) & (s > q), np.sign(g - g.transpose(0, 3, 2, 1)), 0.0)
-    c = 0.25 * np.sign(g) + 0.5 * (b - b.transpose(0, 3, 2, 1))
+    c = 0.25 * np.sign(g)
+    p, q, r, s, d = v_prime_quarter(g)
+    d = 0.5 * np.sign(d)
+    c[p, q, r, s] += d
+    c[p, s, r, q] -= d
+    del d  # freed before the four-slot sum below
     # g' is exactly 8-fold symmetric, so each slot's contraction is the
     # first slot's against a transposed C
     c = c + c.transpose(1, 0, 2, 3) + c.transpose(2, 3, 0, 1) + c.transpose(3, 2, 1, 0)
@@ -274,13 +286,9 @@ def minimize_norm(
         )
 
     total_rotation = pre_rotation.then(_window_rotation(n, window, tracked.best_x))
-    if np.array_equal(total_rotation.matrix, np.eye(n)):
-        final_ham = ham
-    else:
-        final_ham = rotate_hamiltonian(ham, total_rotation)
     return OptimizationResult(
         rotation=total_rotation,
-        hamiltonian=final_ham,
+        hamiltonian=rotate_hamiltonian(ham, total_rotation),
         trace=tuple(trace),
         converged=converged,
         lambda_initial=lambda_initial,

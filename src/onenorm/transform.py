@@ -22,10 +22,8 @@ __all__ = [
     "transform_one_body",
     "transform_two_body",
     "rotate_hamiltonian",
-    "jacobi_rotation_norm_scan",
     "freeze_core",
     "lowdin_orthogonalize",
-    "givens_rotation",
 ]
 
 
@@ -111,7 +109,7 @@ def transform_two_body(g: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     appends the new one last, so after four the order is (p, q, r, s)
     again and no more than two tensors are live.  The result is the raw
     contraction, symmetric only to round-off; the ``MolecularHamiltonian``
-    constructor checks and fills it (see ``rotate_hamiltonian``).
+    constructor checks and fills it.
     """
     g = np.asarray(g, dtype=float)
     coeff = np.asarray(coeff, dtype=float)
@@ -131,51 +129,22 @@ def rotate_hamiltonian(
 ) -> MolecularHamiltonian:
     """New Hamiltonian in the rotated basis; core constant unchanged.
 
-    h' is made exactly symmetric, so it survives an FCIDUMP round trip.
+    The identity rotation returns ``ham`` itself.
     """
     if rotation.dim != ham.n_orbitals:
         raise InputError(
             f"rotation dimension {rotation.dim} != {ham.n_orbitals} orbitals"
         )
     u = rotation.matrix
-    h = transform_one_body(ham.one_body, u)
+    if np.array_equal(u, np.eye(ham.n_orbitals)):
+        return ham
     return MolecularHamiltonian(
         n_orbitals=ham.n_orbitals,
         core_constant=ham.core_constant,
-        one_body=0.5 * (h + h.T),
+        one_body=transform_one_body(ham.one_body, u),
         two_body=transform_two_body(ham.two_body_dense(), u),
         n_electrons=ham.n_electrons,
     )
-
-
-def givens_rotation(n: int, p: int, q: int, theta: float) -> OrbitalRotation:
-    """exp(-K) for the single-pair generator K_pq = theta (p < q sense).
-
-    The embedded 2x2 block is [[cos, -sin], [sin, cos]], matching the
-    window-restricted exp(-K) parameterization used by the optimizer, so
-    one-parameter scans and one-parameter objectives agree angle for
-    angle.  lambda values are periodic in theta with period pi/2 (a
-    quarter turn permutes the pair up to signs).
-    """
-    if p == q or not (0 <= p < n and 0 <= q < n):
-        raise InputError(f"invalid rotation pair ({p}, {q}) for {n} orbitals")
-    u = np.eye(n)
-    c, s = np.cos(theta), np.sin(theta)
-    u[p, p] = c
-    u[p, q] = -s
-    u[q, p] = s
-    u[q, q] = c
-    return OrbitalRotation(u)
-
-
-def jacobi_rotation_norm_scan(ham, p, q, thetas):
-    """lambda_Q (identity excluded) after a (p, q) Jacobi rotation, per angle."""
-    from .norms import lambda_q
-
-    return [
-        lambda_q(rotate_hamiltonian(ham, givens_rotation(ham.n_orbitals, p, q, t)))
-        for t in thetas
-    ]
 
 
 def freeze_core(

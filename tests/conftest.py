@@ -74,6 +74,18 @@ def random_orthogonal(n, rng):
     return exp_generator(AntisymmetricGenerator(dim=n, params=params))
 
 
+def givens_rotation(n, p, q, theta):
+    """Oracle for the (p, q) Jacobi rotation: block [[cos, -sin], [sin, cos]]
+    at rows and columns (p, q), built from cos and sin."""
+    from onenorm import OrbitalRotation
+
+    u = np.eye(n)
+    c, s = np.cos(theta), np.sin(theta)
+    u[p, p] = u[q, q] = c
+    u[p, q], u[q, p] = -s, s
+    return OrbitalRotation(u)
+
+
 def random_aux(n, rng, n_atoms=2):
     """Synthetic AO data consistent with an n-orbital Hamiltonian."""
     a = rng.standard_normal((n, n))

@@ -40,6 +40,10 @@ def test_fit_validation():
         fit_scaling([(0, 4), (3, 9), (4, 16)])
     with pytest.raises(InputError, match="same N"):
         fit_scaling([(2, 4), (2, 9), (2, 16)])
+    for bad in (np.nan, np.inf):
+        for points in ([(2, 4), (3, bad), (4, 16)], [(2, 4), (bad, 9), (4, 16)]):
+            with pytest.raises(InputError, match="finite"):
+                fit_scaling(points)
 
 
 def test_noisy_fit_r_squared_below_one(rng):

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from onenorm import write_fcidump
 from onenorm.cli import run
-from onenorm.fcidump import write_labeled_matrix
+from onenorm.fcidump import parse_auxiliary, write_auxiliary, write_labeled_matrix
 
-from conftest import H2_FCIDUMP, random_hamiltonian, random_psd_hamiltonian, requires_fixtures
+from conftest import (
+    FIXTURE_DIR, H2_FCIDUMP, chain_path, random_hamiltonian, random_psd_hamiltonian,
+    requires_fixtures,
+)
 
 
 @pytest.fixture
@@ -247,6 +250,44 @@ def test_scaling_fit_rejects_a_bad_row_after_the_header(capsys, tmp_path):
     assert code == 1 and "line 4" in err
 
 
+@pytest.mark.parametrize("rows", ["2,4\n3,{bad}\n4,16\n", "2,4\n{bad},9\n4,16\n"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_scaling_fit_rejects_non_finite_points(capsys, tmp_path, rows, bad):
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text("n,lambda\n" + rows.format(bad=bad))
+    code, out, err = invoke(capsys, "scaling-fit", "--csv", str(csv_path))
+    assert (code, out) == (1, "")
+    assert err == "error: scaling fits need finite, strictly positive sizes and norms\n"
+
+
+def test_non_finite_two_body_value_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "nan.fcidump"
+    path.write_text(" &FCI NORB=1,NELEC=2, &END\nnan 1 1 1 1\n")
+    code, out, err = invoke(capsys, "norm", str(path))
+    assert (code, out) == (1, "")
+    assert "two-body tensor contains non-finite entries" in err
+
+
+@requires_fixtures
+def test_mo_coefficients_must_have_one_column_per_orbital(capsys, tmp_path):
+    # H3's MO_COEFF cut to 3x2 for H3, and H3's full 3x3 one for H2
+    full = os.path.join(FIXTURE_DIR, "hchain_03_sto3g_aux.txt")
+    aux = parse_auxiliary(open(full).read())
+    cut = tmp_path / "cut_aux.txt"
+    cut.write_text(write_auxiliary(
+        dataclasses.replace(aux, mo_coefficients=aux.mo_coefficients[:, :2])))
+    for fcidump_path, aux_path, shape in ((chain_path(3), str(cut), "(3, 2), expected (3, 3)"),
+                                          (chain_path(2), full, "(3, 3), expected (3, 2)")):
+        for scheme in ("fb", "pm"):
+            for tail in (["localize", "--scheme", scheme, "--method", "jacobi"],
+                         ["localize", "--scheme", scheme, "--method", "ascent"],
+                         ["optimize", "--start", scheme, "--max-iter", "2"]):
+                argv = [tail[0], fcidump_path, "--aux", aux_path, *tail[1:]]
+                code, out, err = invoke(capsys, *argv)
+                assert (code, out) == (1, ""), argv
+                assert f"MO coefficients have shape {shape}" in err, argv
+
+
 def test_unwritable_output_is_an_input_error(capsys, tmp_path, small_fcidump):
     path, _ = small_fcidump
     target = str(tmp_path / "missing" / "out.fcidump")
@@ -322,6 +363,11 @@ def test_pretty_output(capsys, small_fcidump):
     assert code == 0
     assert "lambda_Q_no_const" in out
     assert not out.lstrip().startswith("{")
+    code, out, _ = invoke(capsys, "jacobi-scan", path, "--pair", "0", "1", "--steps", "1",
+                          "--pretty")
+    assert code == 0
+    names = [line.split()[0] for line in out.splitlines()]
+    assert names == ["[0].lambda_Q", "[0].theta", "[1].lambda_Q", "[1].theta"]
 
 
 def test_strict_nonconvergence_exit_code(capsys, tmp_path, rng):
@@ -351,12 +397,16 @@ def test_usage_errors_return_input_error_code(capsys, small_fcidump):
     assert "usage" in out
 
 
-def test_threads_flag_validation(capsys, small_fcidump):
+def test_threads_flag_validation(capsys, monkeypatch, small_fcidump):
     path, _ = small_fcidump
     code, _, err = invoke(capsys, "--threads", "0", "norm", path)
     assert code == 1
     code, out, _ = invoke(capsys, "--threads", "2", "norm", path)
     assert code == 0
+    monkeypatch.setenv("ONENORM_THREADS", "abc")
+    code, out, err = invoke(capsys, "norm", path)
+    assert (code, out) == (1, "")
+    assert err == "error: --threads must be an integer, got 'abc'\n"
 
 
 @requires_fixtures
@@ -520,6 +570,11 @@ def test_malformed_fcidump_is_an_input_error(tmp_path, text):
 @example("#SECTION DIPOLE_X 1 1\n0\n#SECTION DIPOLE_Y 0 0\n\n#SECTION DIPOLE_Z 1 1\n0\n")
 @example("#SECTION OVERLAP 2 2\nnan 0 0 1\n#SECTION MO_COEFF 2 2\n1 0 0 1\n")
 @example("#SECTION OVERLAP 2 2\n1 0 0 1\n#SECTION MO_COEFF 2 2\nnan 0 0 1\n")
+@example("#SECTION OVERLAP 1 1\n1\n")
+@example("#SECTION OVERLAP 2 2\n1 0 0 1\n#SECTION MO_COEFF 2 1\n1 0\n"
+         "#SECTION AO_ATOM_MAP 1 2\n0 1\n#SECTION ATOMIC_NUMBERS 1 2\n1 1\n"
+         "#SECTION DIPOLE_X 2 2\n0 0.1 0.1 1\n#SECTION DIPOLE_Y 2 2\n0 0 0 0\n"
+         "#SECTION DIPOLE_Z 2 2\n0 0 0 0\n")
 @given(aux_texts())
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -120,6 +120,17 @@ def test_from_dense_accepts_symmetric(rng):
     assert rebuilt.allclose(ham)
 
 
+def test_constructor_makes_h_exactly_symmetric(rng):
+    ham = random_hamiltonian(3, rng)
+    h = ham.one_body.copy()
+    h[0, 1] += 1e-13  # inside the 1e-12 tolerance
+    rebuilt = MolecularHamiltonian.from_dense(0.0, h, ham.two_body_dense())
+    assert np.array_equal(rebuilt.one_body, rebuilt.one_body.T)
+    assert rebuilt.one_body[0, 1] == 0.5 * h[0, 1] + 0.5 * h[1, 0]
+    same = MolecularHamiltonian.from_dense(0.0, ham.one_body, ham.two_body)
+    assert np.array_equal(same.one_body, ham.one_body)  # a symmetric h is kept bit for bit
+
+
 def test_hamiltonian_validation_errors():
     with pytest.raises(InputError, match="symmetric"):
         MolecularHamiltonian(
@@ -288,10 +299,11 @@ def test_class_decomposition_counts_images_like_convention(rng):
 def test_active_space_spec_validation():
     spec = ActiveSpaceSpec(frozen=(0,), active=(1, 2), n_active_electrons=2)
     spec.validate(3)
-    with pytest.raises(InputError, match="partition"):
+    ActiveSpaceSpec(frozen=(), active=(0,), n_active_electrons=0).validate(2)  # 1 is virtual
+    with pytest.raises(InputError, match="distinct"):
         ActiveSpaceSpec(frozen=(0,), active=(0, 1), n_active_electrons=0).validate(2)
-    with pytest.raises(InputError, match="partition"):
-        ActiveSpaceSpec(frozen=(), active=(0,), n_active_electrons=0).validate(2)
+    with pytest.raises(InputError, match="0..1"):
+        ActiveSpaceSpec(frozen=(), active=(0, 2), n_active_electrons=0).validate(2)
     with pytest.raises(InputError, match="even"):
         ActiveSpaceSpec(frozen=(), active=(0, 1), n_active_electrons=3).validate(2)
     with pytest.raises(InputError, match="electrons"):

@@ -21,6 +21,7 @@ from onenorm.integrals import AuxiliaryIntegrals
 
 from conftest import (
     chain_path,
+    givens_rotation,
     random_aux,
     random_hamiltonian,
     random_orthogonal,
@@ -282,8 +283,6 @@ def test_jacobi_pair_angle_is_pairwise_optimal(rng):
     final = result.hamiltonian
     base = cost_er(final)
     thetas = np.linspace(-np.pi / 4, np.pi / 4, 181)
-    from onenorm.transform import givens_rotation
-
     for i in range(3):
         for j in range(i + 1, 3):
             values = [

@@ -5,6 +5,7 @@ import pytest
 
 from onenorm import (
     MolecularHamiltonian,
+    OrbitalRotation,
     cholesky_decompose,
     class_decomposition,
     lambda_c,
@@ -16,8 +17,10 @@ from onenorm import (
     norm_report,
     parse_fcidump,
     rotate_hamiltonian,
+    write_fcidump,
 )
 from onenorm.errors import NotPositiveSemidefiniteError
+from onenorm.optimize import _gradient
 
 from conftest import (
     H2_FCIDUMP,
@@ -126,6 +129,8 @@ def test_n4_passes_are_memory_bounded(rng):
     h = h + h.T
     ham = MolecularHamiltonian.from_dense(0.0, h, dense)
     rotation = random_orthogonal(n, rng)
+    text = write_fcidump(ham)
+    at_start = (np.zeros(n * (n - 1) // 2), range(n), (OrbitalRotation.identity(n), ham))
     peaks = {
         "norm_report": _peak_in_tensors(lambda: norm_report(ham), dense.nbytes),
         "class_decomposition": _peak_in_tensors(
@@ -134,9 +139,12 @@ def test_n4_passes_are_memory_bounded(rng):
             lambda: MolecularHamiltonian.from_dense(0.0, h, dense), dense.nbytes),
         "rotate_hamiltonian": _peak_in_tensors(
             lambda: rotate_hamiltonian(ham, rotation), dense.nbytes),
+        "parse_fcidump": _peak_in_tensors(lambda: parse_fcidump(text), dense.nbytes),
+        "gradient": _peak_in_tensors(lambda: _gradient(*at_start), dense.nbytes),
     }
     bounds = {"norm_report": 1.0, "class_decomposition": 0.25,
-              "from_dense": 2.0, "rotate_hamiltonian": 3.0}
+              "from_dense": 2.0, "rotate_hamiltonian": 3.0,
+              "parse_fcidump": 5.0, "gradient": 2.5}
     for name, bound in bounds.items():
         assert peaks[name] <= bound, (name, peaks[name])
 

@@ -4,7 +4,6 @@ import pytest
 from onenorm import (
     LocalizationRequest,
     OptimizerConfig,
-    jacobi_rotation_norm_scan,
     lambda_q,
     localize,
     minimize_norm,
@@ -79,16 +78,6 @@ def test_objective_half_rotation_composition(rng):
     half = _window_rotation(4, tuple(range(4)), 0.5 * kvec)
     twice = rotate_hamiltonian(rotate_hamiltonian(ham, half), half)
     assert lambda_q(twice) == pytest.approx(objective(ham, kvec), abs=1e-9)
-
-
-def test_objective_matches_jacobi_scan(rng):
-    ham = random_hamiltonian(3, rng)
-    thetas = np.linspace(-0.7, 0.7, 11)
-    scan = jacobi_rotation_norm_scan(ham, 0, 1, thetas)
-    for theta, expected in zip(thetas, scan):
-        assert objective(ham, [theta], window=(0, 1)) == pytest.approx(
-            expected, abs=1e-10
-        )
 
 
 def test_minimizer_never_regresses(rng):
@@ -210,6 +199,51 @@ def test_gradient_matches_stencil(rng):
                 probes.append(objective(ham, x, window))
             stencil[k] = (probes[0] - 8 * probes[1] + 8 * probes[2] - probes[3]) / (12 * h)
         np.testing.assert_allclose(grad, stencil, rtol=0, atol=1e-7)
+
+
+def _mask_built_gradient(kvec, window, rotated):
+    """``_gradient`` with C built from N^4 index masks over the whole
+    tensor, the way it was first written: the oracle for the quarter of
+    ``v_prime_quarter``."""
+    from scipy.linalg import expm_frechet
+
+    from onenorm import AntisymmetricGenerator
+    from onenorm.norms import t_matrix
+
+    window = list(window)
+    rotation, ham = rotated
+    n = ham.n_orbitals
+    g = ham.two_body_dense()
+    t = t_matrix(ham.one_body, g)
+    sign_t = np.sign(t)
+    p, q, r, s = np.ogrid[0:n, 0:n, 0:n, 0:n]
+    b = np.where((p > r) & (s > q), np.sign(g - g.transpose(0, 3, 2, 1)), 0.0)
+    c = 0.25 * np.sign(g) + 0.5 * (b - b.transpose(0, 3, 2, 1))
+    c = c + c.transpose(1, 0, 2, 3) + c.transpose(2, 3, 0, 1) + c.transpose(3, 2, 1, 0)
+    f = t @ sign_t.T + t.T @ sign_t + np.tensordot(g, c, axes=([1, 2, 3], [1, 2, 3]))
+    du = (rotation.matrix @ f)[np.ix_(window, window)]
+    k = AntisymmetricGenerator(dim=len(window), params=kvec).matrix()
+    dk = -expm_frechet(k, du, compute_expm=False)
+    rows, cols = np.triu_indices(len(window), k=1)
+    return dk[rows, cols] - dk[cols, rows]
+
+
+def test_gradient_equals_the_mask_built_oracle_bitwise(rng):
+    # at a generic point, and at K = 0 of a tensor rounded to integers,
+    # where many g' and g'_pqrs - g'_psrq are exactly zero
+    from onenorm import MolecularHamiltonian
+    from onenorm.optimize import _gradient
+
+    cases = [(n, tuple(range(n))) for n in range(1, 8)] + [(6, (0, 2, 3, 5))]
+    for n, window in cases:
+        ham = random_hamiltonian(n, rng)
+        rounded = MolecularHamiltonian.from_dense(0.0, np.round(ham.one_body),
+                                                  np.round(2 * ham.two_body) / 2)
+        m = len(window) * (len(window) - 1) // 2
+        for base, kvec in ((ham, 0.3 * rng.standard_normal(m)), (rounded, np.zeros(m))):
+            _, *rotated = objective(base, kvec, window, full_output=True)
+            expected = _mask_built_gradient(kvec, window, rotated)
+            assert np.array_equal(_gradient(kvec, window, rotated), expected), (n, window)
 
 
 def test_gradient_reuses_last_evaluation(rng):

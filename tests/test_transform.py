@@ -20,9 +20,10 @@ from onenorm import (
     transform_two_body,
 )
 from onenorm.errors import InputError, NumericalError
-from onenorm.transform import givens_rotation
 
-from conftest import chain_path, random_hamiltonian, random_orthogonal, requires_fixtures
+from conftest import (
+    chain_path, givens_rotation, random_hamiltonian, random_orthogonal, requires_fixtures,
+)
 
 
 def test_exp_of_zero_generator_is_identity():
@@ -176,9 +177,22 @@ def test_transform_composition(rng):
 
 def test_rotate_hamiltonian_identity(rng):
     ham = random_hamiltonian(3, rng)
-    rotated = rotate_hamiltonian(ham, OrbitalRotation.identity(3))
-    assert rotated.allclose(ham)
-    assert rotated.core_constant == ham.core_constant
+    assert rotate_hamiltonian(ham, OrbitalRotation.identity(3)) is ham
+    near = rotate_hamiltonian(ham, givens_rotation(3, 0, 1, 1e-9))
+    assert near is not ham and near.allclose(ham, tol=1e-8)
+
+
+def test_rotate_hamiltonian_large_h(rng):
+    # core-level h of order 1e4: the rotation's round-off asymmetry is far
+    # above 1e-12 absolute, and the constructor's check scales with max|h|
+    base = random_hamiltonian(30, rng)
+    ham = MolecularHamiltonian.from_dense(0.0, 1e4 * base.one_body, base.two_body)
+    u = random_orthogonal(30, rng)
+    raw = transform_one_body(ham.one_body, u.matrix)
+    assert np.max(np.abs(raw - raw.T)) > 1e-12
+    rotated = rotate_hamiltonian(ham, u)
+    assert np.array_equal(rotated.one_body, rotated.one_body.T)
+    assert np.allclose(rotated.one_body, raw, rtol=0, atol=1e-8)
 
 
 def test_rotate_group_action(rng):
@@ -202,17 +216,17 @@ def test_trace_invariants_under_rotation(rng):
         assert moment(rotated) == pytest.approx(moment(ham), abs=1e-9)
 
 
-def test_jacobi_scan_matches_objective(rng):
-    from onenorm import objective
-
+def test_jacobi_scan_matches_givens_rotation(rng):
+    # the scan reduces each angle before exp(-K): without that, exp(-K)
+    # at |theta| >= 1e6 is not orthogonal and the scan fails
     ham = random_hamiltonian(4, rng)
-    thetas = np.linspace(0.0, np.pi / 2, 9)
-    scan = jacobi_rotation_norm_scan(ham, 0, 2, thetas)
-    assert scan[0] == pytest.approx(lambda_q(ham), abs=1e-12)
-    for theta, value in zip(thetas, scan):
-        assert value == pytest.approx(
-            objective(ham, [theta], window=(0, 2)), abs=1e-10
-        )
+    thetas = [0.0, 0.3, -1.2, np.pi / 2, 2.5, -4.0, 1e6, -1e6, 1e12]
+    for p, q in ((0, 2), (3, 1)):
+        scan = jacobi_rotation_norm_scan(ham, p, q, thetas)
+        assert scan[0] == lambda_q(ham)
+        for theta, value in zip(thetas, scan):
+            expected = lambda_q(rotate_hamiltonian(ham, givens_rotation(4, p, q, theta)))
+            assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_jacobi_scan_pi_periodicity(rng):
@@ -223,7 +237,7 @@ def test_jacobi_scan_pi_periodicity(rng):
 
 def test_jacobi_scan_invalid_pair(rng):
     ham = random_hamiltonian(3, rng)
-    with pytest.raises(InputError, match="pair"):
+    with pytest.raises(InputError, match="distinct"):
         jacobi_rotation_norm_scan(ham, 1, 1, [0.0])
 
 
@@ -280,7 +294,7 @@ def test_freeze_core_dense_oracle_identity(rng):
 
 def test_freeze_core_deletes_virtuals(rng):
     ham = random_hamiltonian(4, rng)
-    spec = ActiveSpaceSpec(frozen=(0,), active=(1, 2), virtual=(3,), n_active_electrons=2)
+    spec = ActiveSpaceSpec(frozen=(0,), active=(1, 2), n_active_electrons=2)
     active, _ = freeze_core(ham, spec)
     assert active.n_orbitals == 2
     assert active.two_body[0, 1, 0, 1] == ham.two_body[1, 2, 1, 2]
@@ -288,8 +302,10 @@ def test_freeze_core_deletes_virtuals(rng):
 
 def test_freeze_core_invalid_partition(rng):
     ham = random_hamiltonian(3, rng)
-    with pytest.raises(InputError, match="partition"):
-        freeze_core(ham, ActiveSpaceSpec(frozen=(0,), active=(1,), n_active_electrons=0))
+    for frozen, active in (((0,), (0, 1)), ((0,), (1, 3)), ((-1,), (1,))):
+        with pytest.raises(InputError, match="distinct indices in 0..2"):
+            freeze_core(ham, ActiveSpaceSpec(frozen=frozen, active=active,
+                                             n_active_electrons=0))
 
 
 def test_active_space_around_fermi():
@@ -297,8 +313,7 @@ def test_active_space_around_fermi():
         n_orbitals=6, n_electrons=6, n_active_orbitals=3, n_active_electrons=2
     )
     assert spec.frozen == (0, 1)
-    assert spec.active == (2, 3, 4)
-    assert spec.virtual == (5,)
+    assert spec.active == (2, 3, 4)  # orbital 5 is virtual
     with pytest.raises(InputError, match="even"):
         ActiveSpaceSpec.around_fermi(6, 5, 3, 2)
     with pytest.raises(InputError, match="exceed"):
@@ -330,8 +345,3 @@ def test_lowdin_near_singular_raises():
     s = np.diag([1.0, 1e-12])
     with pytest.raises(NumericalError, match="near-singular"):
         lowdin_orthogonalize(s)
-
-
-def test_givens_rotation_validation():
-    with pytest.raises(InputError):
-        givens_rotation(3, 0, 3, 0.1)
