@@ -60,6 +60,12 @@ def _write_output(path: str | None, text: str):
         raise InputError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
+def _write_result(args, result):
+    """--output gets the rotated FCIDUMP, --rotation-out the rotation matrix."""
+    _write_output(args.output, fcidump.write_fcidump(result.hamiltonian))
+    _write_output(args.rotation_out, fcidump.write_labeled_matrix("ROTATION", result.rotation.matrix))
+
+
 def _emit(args, payload, csv_text: str | None = None):
     if getattr(args, "csv", False) and csv_text is not None:
         sys.stdout.write(csv_text)
@@ -96,6 +102,9 @@ def _parse_indices(text: str | None):
         raise InputError(f"expected a comma/space separated index list, got {text!r}") from None
 
 
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _apply_thread_limit(args):
     n = args.threads
     if n is None:
@@ -113,7 +122,7 @@ def _apply_thread_limit(args):
 
         threadpoolctl.threadpool_limits(n)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in _BLAS_THREAD_VARS:
             os.environ[var] = str(n)
 
 
@@ -228,11 +237,7 @@ def _cmd_localize(args):
             f"{args.scheme} localization ({args.method}) did not converge "
             f"within --max-sweeps {args.max_sweeps}"
         )
-    _write_output(args.output, fcidump.write_fcidump(result.hamiltonian))
-    _write_output(
-        args.rotation_out,
-        fcidump.write_labeled_matrix("ROTATION", result.rotation.matrix),
-    )
+    _write_result(args, result)
     _emit(
         args,
         {
@@ -264,11 +269,7 @@ def _cmd_optimize(args):
     result, caught = _recording_warnings(minimize_norm, ham, config, aux)
     if args.strict and not result.converged:
         raise NumericalError(f"1-norm optimization did not converge: {result.stop_reason}")
-    _write_output(args.output, fcidump.write_fcidump(result.hamiltonian))
-    _write_output(
-        args.rotation_out,
-        fcidump.write_labeled_matrix("ROTATION", result.rotation.matrix),
-    )
+    _write_result(args, result)
     if args.trace_out:
         trace_csv = "iteration,lambda_Q,grad_inf_norm,best_so_far\n" + "".join(
             f"{r.iteration},{r.lambda_value!r},"
@@ -460,6 +461,7 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 0 if exc.code == 0 else 1
+    saved = {var: os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
     try:
         _apply_thread_limit(args)
         return args.func(args)
@@ -469,6 +471,10 @@ def run(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    finally:  # the limit is for this command only
+        for var in _BLAS_THREAD_VARS:
+            os.environ.pop(var, None)
+        os.environ.update(saved)
 
 
 def main():

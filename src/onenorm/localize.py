@@ -106,8 +106,8 @@ def check_limits(cap_name: str, cap: int, tol: float):
 class LocalizationRequest:
     """What to localize and how hard to try.
 
-    ``method`` picks the maximizer for the MO schemes: "jacobi" (pairwise
-    sweeps over the window pairs in index order, aggressive, may hop
+    ``method`` picks the maximizer for the MO schemes: "jacobi" (sweeps
+    over the window pairs in rounds of disjoint pairs, aggressive, may hop
     basins) or "ascent" (monotone Riemannian gradient ascent, converges to
     the stationary point nearest the starting basis, the way Newton-style
     localizers in production chemistry codes behave).  Both never decrease
@@ -185,7 +185,8 @@ def _mo_dipoles(coeff, aux: AuxiliaryIntegrals, n_orbitals=None):
 
 def cost_fb(coeff, aux: AuxiliaryIntegrals, window) -> float:
     """Dipole-norm form of the Foster-Boys measure: sum_p |<p|r|p>|^2."""
-    return _stack_objective(np.array(_mo_dipoles(coeff, aux)), np.ones(3), window)
+    mats = np.array(_mo_dipoles(coeff, aux))
+    return _stack_objective(mats, np.ones(3), resolve_window(check_window(window), len(mats[0])))
 
 
 def _population_matrices(coeff, aux: AuxiliaryIntegrals, n_orbitals=None):
@@ -219,7 +220,7 @@ def cost_pm(coeff, aux: AuxiliaryIntegrals, window) -> float:
     the window; see module docstring.
     """
     atoms, mats = _population_matrices(coeff, aux)
-    window = list(window)
+    window = list(resolve_window(check_window(window), len(mats[0])))
     total = 0.0
     for atom, mat in zip(atoms, mats):
         z = aux.atomic_numbers[atom]
@@ -260,9 +261,8 @@ def _objective_stack(ham, coeff, aux, scheme):
 def _stack_objective(mats, weights, window) -> float:
     """sum_k w_k sum_{p in window} (M_k)_pp^2."""
     diag = np.einsum("kpp->kp", mats)[:, list(window)]
-    return sum(
-        (w * float(np.sum(d * d, dtype=np.longdouble)) for w, d in zip(weights, diag)), 0.0
-    )
+    squares = np.sum(diag * diag, axis=1, dtype=np.longdouble).astype(float)
+    return sum((weights * squares).tolist(), 0.0)
 
 
 def _stack_gradient(mats, weights, window):
@@ -277,8 +277,21 @@ def _stack_gradient(mats, weights, window):
     return raw - raw.T
 
 
+def _round_robin(window):
+    """One sweep: rounds (i, j) of disjoint window pairs, index arrays with
+    i < j, covering each pair once (circle method; odd windows add a slot -1)."""
+    slots = list(window) + [-1] * (len(window) % 2)
+    rounds = []
+    for _ in range(len(slots) - 1):
+        # slot k meets slot -1-k; each pair shows up in both orders
+        pairs = [(p, q) for p, q in zip(slots, reversed(slots)) if 0 <= p < q]
+        rounds.append(tuple(np.array(pairs).T))
+        slots.insert(1, slots.pop())  # every slot but the first moves on
+    return rounds
+
+
 def _jacobi(mats, weights, window, request):
-    """Jacobi sweeps over the stack, rotated in place; returns (U, log, converged, sweeps).
+    """Jacobi sweeps over the stack; returns (U, log, converged, sweeps).
 
     A rotation by theta of pair (i, j) changes the objective by
     f(theta) - f(0) with f(theta) = const + A cos(4 theta) + B sin(4 theta),
@@ -286,34 +299,41 @@ def _jacobi(mats, weights, window, request):
     A = sum_k w_k (d_k^2 / 4 - v_k^2) and B = -sum_k w_k d_k v_k.  Its
     maximum is hypot(A, B) - A above f(0).  A pair is flat when hypot(A, B)
     is at most 1e-12 sum_k |w_k| (d_k^2 / 4 + v_k^2), the size of the terms
-    that cancel in A and B, so rounding noise picks no angle.
+    that cancel in A and B, so rounding noise picks no angle.  A B below
+    that floor counts as 0, so noise picks no sign either: a pair that a
+    symmetry exchanges (A < 0, B = 0) turns by +pi/4.
+
+    A sweep runs the rounds of :func:`_round_robin`.  The pairs of a round
+    touch disjoint 2x2 blocks, so their gains add exactly and the round is
+    one orthogonal G: M_k <- G^T M_k G and U <- U G.
     """
+    n = mats.shape[1]
+    stack = mats.transpose(1, 0, 2).copy()  # (N, K, N): G^T M_k and M_k G are one GEMM each
     abs_weights = np.abs(weights)
-    pairs = [(i, j) for a, i in enumerate(window) for j in window[a + 1:]]
-    u = np.eye(mats.shape[1])
+    rounds = _round_robin(window)
+    u = np.eye(n)
     log = [_stack_objective(mats, weights, window)]
     converged = False
     sweeps = 0
     for _ in range(request.max_sweeps):
         sweeps += 1
-        for i, j in pairs:
-            diff = mats[:, i, i] - mats[:, j, j]
-            off = mats[:, i, j]
-            weighted = weights * diff
-            a = 0.25 * float(weighted @ diff) - float((weights * off) @ off)
-            b = -float(weighted @ off)
-            theta = 0.25 * float(np.arctan2(b, a))
-            amplitude = float(np.hypot(a, b))
-            scale = 0.25 * float((abs_weights * diff) @ diff) + float((abs_weights * off) @ off)
-            if amplitude <= 1e-12 * scale or amplitude - a <= 0.0 or theta == 0.0:
-                continue
-            c, s = float(np.cos(theta)), float(np.sin(theta))
-            # M_k <- G^T M_k G (columns, then rows) and U <- U G
-            for view in (mats, mats.swapaxes(1, 2), u):
-                col_i, col_j = view[..., i].copy(), view[..., j].copy()
-                view[..., i] = c * col_i - s * col_j
-                view[..., j] = s * col_i + c * col_j
-        log.append(_stack_objective(mats, weights, window))
+        for i, j in rounds:
+            diff, off = stack[i, :, i] - stack[j, :, j], stack[i, :, j]
+            # einsum, not BLAS: the angles do not depend on the thread count
+            a = np.einsum("rk,k->r", 0.25 * diff * diff - off * off, weights)
+            b = -np.einsum("rk,k->r", diff * off, weights)
+            scale = np.einsum("rk,k->r", 0.25 * diff * diff + off * off, abs_weights)
+            b = np.where(np.abs(b) <= 1e-12 * scale, 0.0, b)
+            theta = 0.25 * np.arctan2(b, a)
+            amplitude = np.hypot(a, b)
+            keep = (amplitude > 1e-12 * scale) & (amplitude - a > 0.0) & (theta != 0.0)
+            i, j, c, s = i[keep], j[keep], np.cos(theta[keep]), np.sin(theta[keep])
+            g = np.eye(n)
+            g[i, i] = g[j, j] = c
+            g[i, j], g[j, i] = s, -s
+            stack = (g.T @ (stack.reshape(-1, n) @ g).reshape(n, -1)).reshape(stack.shape)
+            u = u @ g
+        log.append(_stack_objective(stack.transpose(1, 0, 2), weights, window))
         if log[-1] - log[-2] < request.convergence_tol * max(abs(log[-1]), 1.0):
             converged = True
             break
@@ -378,31 +398,20 @@ def _er_gradient(g):
     return raw - raw.T
 
 
-def _localize_oao(ham, coeff, aux, request):
+def _oao_rotation(ham, coeff, aux):
+    """The rotation carrying the MO basis onto the Lowdin-orthogonalized AOs."""
     if aux is None or aux.ao_overlap is None:
         raise InputError("OAO needs the OVERLAP section")
     s = aux.ao_overlap
     n = ham.n_orbitals
     if len(s) != n:
-        raise InputError(
-            f"OAO applies to the full orbital space: {len(s)} AOs for {n} orbitals"
-        )
+        raise InputError(f"OAO applies to the full orbital space: {len(s)} AOs for {n} orbitals")
     orthonormal = np.max(np.abs(s - np.eye(n)), initial=0.0) <= 1e-10
     # orthonormal AOs are the orbitals
     coeff = _mo_coefficients(coeff, aux, n, n, default=np.eye(n) if orthonormal else None)
-    inv_sqrt = lowdin_orthogonalize(s)
-    v = np.linalg.solve(coeff, inv_sqrt)
-    # project to the nearest orthogonal matrix (polar factor)
-    w, _, zt = np.linalg.svd(v)
-    rotation = OrbitalRotation(w @ zt)
-    return LocalizationResult(
-        scheme="oao",
-        rotation=rotation,
-        hamiltonian=rotate_hamiltonian(ham, rotation),
-        converged=True,
-        sweeps=0,
-        objective_per_sweep=(),
-    )
+    # the nearest orthogonal matrix (polar factor) to C^-1 S^(-1/2)
+    w, _, zt = np.linalg.svd(np.linalg.solve(coeff, lowdin_orthogonalize(s)))
+    return w @ zt
 
 
 def localize(
@@ -417,21 +426,11 @@ def localize(
     the Hamiltonian rebuilt in the rotated basis.  Hitting ``max_sweeps``
     returns the best basis found and raises a ConvergenceWarning.
     """
-    if request.scheme == "oao":
-        return _localize_oao(ham, coeff, aux, request)
-
-    window = resolve_window(request.window, ham.n_orbitals)
-    if len(window) < 2:
-        return LocalizationResult(
-            scheme=request.scheme,
-            rotation=OrbitalRotation.identity(ham.n_orbitals),
-            hamiltonian=ham,
-            converged=True,
-            sweeps=0,
-            objective_per_sweep=(),
-        )
-
-    if request.method == "jacobi":
+    if request.scheme == "oao":  # ignores the window
+        u, log, converged, sweeps = _oao_rotation(ham, coeff, aux), [], True, 0
+    elif len(window := resolve_window(request.window, ham.n_orbitals)) < 2:
+        u, log, converged, sweeps = np.eye(ham.n_orbitals), [], True, 0
+    elif request.method == "jacobi":
         mats, weights = _objective_stack(ham, coeff, aux, request.scheme)
         u, log, converged, sweeps = _jacobi(mats, weights, window, request)
     elif request.scheme == "er":
@@ -456,11 +455,6 @@ def localize(
             stacklevel=2,
         )
     rotation = OrbitalRotation(u)
-    return LocalizationResult(
-        scheme=request.scheme,
-        rotation=rotation,
-        hamiltonian=rotate_hamiltonian(ham, rotation),
-        converged=converged,
-        sweeps=sweeps,
-        objective_per_sweep=tuple(log),
-    )
+    return LocalizationResult(scheme=request.scheme, rotation=rotation,
+                              hamiltonian=rotate_hamiltonian(ham, rotation), converged=converged,
+                              sweeps=sweeps, objective_per_sweep=tuple(log))

@@ -409,6 +409,21 @@ def test_threads_flag_validation(capsys, monkeypatch, small_fcidump):
     assert err == "error: --threads must be an integer, got 'abc'\n"
 
 
+def test_threads_flag_leaves_the_environment_as_it_was(capsys, monkeypatch, small_fcidump):
+    # without threadpoolctl the limit goes through the BLAS variables; one
+    # unset and one set beforehand, both as they were after the command
+    path, _ = small_fcidump
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    before = dict(os.environ)
+    code, _, _ = invoke(capsys, "--threads", "2", "norm", path)
+    assert code == 0
+    assert dict(os.environ) == before
+    code, _, _ = invoke(capsys, "--threads", "2", "norm", "missing.fcidump")
+    assert code == 1
+    assert dict(os.environ) == before
+
+
 @requires_fixtures
 def test_norm_on_h2_fixture(capsys):
     code, out, _ = invoke(capsys, "norm", H2_FCIDUMP)

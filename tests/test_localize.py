@@ -81,6 +81,19 @@ def test_cost_fb_requires_dipoles(rng):
         cost_fb(np.eye(3), aux, window=(0,))
 
 
+def test_cost_functions_check_their_window(rng):
+    aux = random_aux(3, rng)
+    c = aux.mo_coefficients
+    for cost in (cost_fb, cost_pm):
+        with pytest.raises(InputError, match="range"):
+            cost(None, aux, window=(5,))
+        with pytest.raises(InputError, match="range"):
+            cost(c, aux, window=(0, -1))
+        with pytest.raises(InputError, match="distinct"):
+            cost(c, aux, window=(1, 1))
+        assert cost(c, aux, window=None) == cost(c, aux, window=(0, 1, 2))
+
+
 def test_cost_pm_single_atom_fully_occupied():
     # one atom with Z=2, one orbital entirely on it, doubly counted
     aux = AuxiliaryIntegrals(
@@ -346,20 +359,108 @@ def test_er_factors_reconstruct_the_tensor(rng, n, psd):
         assert weights.min() < 0 < weights.max()
 
 
+def _cyclic_jacobi(mats, weights, window, request):
+    """The former Jacobi engine: one pair at a time, in index order."""
+    from onenorm.localize import _stack_objective
+
+    abs_weights = np.abs(weights)
+    pairs = [(i, j) for a, i in enumerate(window) for j in window[a + 1:]]
+    u = np.eye(mats.shape[1])
+    log = [_stack_objective(mats, weights, window)]
+    converged = False
+    sweeps = 0
+    for _ in range(request.max_sweeps):
+        sweeps += 1
+        for i, j in pairs:
+            diff = mats[:, i, i] - mats[:, j, j]
+            off = mats[:, i, j]
+            weighted = weights * diff
+            a = 0.25 * float(weighted @ diff) - float((weights * off) @ off)
+            b = -float(weighted @ off)
+            theta = 0.25 * float(np.arctan2(b, a))
+            amplitude = float(np.hypot(a, b))
+            scale = 0.25 * float((abs_weights * diff) @ diff) + float((abs_weights * off) @ off)
+            if amplitude <= 1e-12 * scale or amplitude - a <= 0.0 or theta == 0.0:
+                continue
+            c, s = float(np.cos(theta)), float(np.sin(theta))
+            for view in (mats, mats.swapaxes(1, 2), u):
+                col_i, col_j = view[..., i].copy(), view[..., j].copy()
+                view[..., i] = c * col_i - s * col_j
+                view[..., j] = s * col_i + c * col_j
+        log.append(_stack_objective(mats, weights, window))
+        if log[-1] - log[-2] < request.convergence_tol * max(abs(log[-1]), 1.0):
+            converged = True
+            break
+    return u, log, converged, sweeps
+
+
+def _chain_er_stack(n):
+    from onenorm import parse_fcidump
+    from onenorm.localize import _objective_stack
+
+    ham = parse_fcidump(open(chain_path(n)).read())
+    return (ham, *_objective_stack(ham, None, None, "er"))
+
+
 @requires_fixtures
 @pytest.mark.parametrize(
     "n, lam, sweeps",
     [(4, 3.7235500366650447, 4), (10, 13.43504354637642, 5), (20, 32.56949355135883, 5)],
 )
 def test_er_jacobi_on_chains_matches_tensor_sweep(n, lam, sweeps):
-    # lambda_Q and sweep counts of the former sweep over the N^4 tensor
-    from onenorm import parse_fcidump
+    # lambda_Q and sweep counts of the former sweep over the N^4 tensor,
+    # reached by the cyclic oracle
+    from onenorm import OrbitalRotation
 
-    ham = parse_fcidump(open(chain_path(n)).read())
-    result = localize(ham, None, None, LocalizationRequest(scheme="er"))
+    ham, mats, weights = _chain_er_stack(n)
+    u, _, converged, oracle_sweeps = _cyclic_jacobi(
+        mats, weights, tuple(range(n)), LocalizationRequest(scheme="er")
+    )
+    rotated = rotate_hamiltonian(ham, OrbitalRotation(u))
+    assert lambda_q(rotated) == pytest.approx(lam, rel=1e-12)
+    assert oracle_sweeps == sweeps
+    assert converged
+
+
+@requires_fixtures
+@pytest.mark.parametrize(
+    "n, lam, sweeps",
+    [(4, 3.7235500366592627, 2), (10, 13.435043572484652, 4), (20, 32.56948766610111, 5)],
+)
+def test_er_jacobi_rounds_reach_the_cyclic_objective(n, lam, sweeps):
+    # same ER objective as one pair at a time; the basis is a neighbouring
+    # point of the flat optimum, so lambda_Q and the sweeps are its own
+    ham, mats, weights = _chain_er_stack(n)
+    request = LocalizationRequest(scheme="er")
+    _, oracle_log, _, _ = _cyclic_jacobi(mats.copy(), weights, tuple(range(n)), request)
+    result = localize(ham, None, None, request)
+    assert result.objective_per_sweep[-1] == pytest.approx(oracle_log[-1], rel=1e-12)
+    assert cost_er(result.hamiltonian) == pytest.approx(oracle_log[-1], rel=1e-12)
     assert lambda_q(result.hamiltonian) == pytest.approx(lam, rel=1e-12)
     assert result.sweeps == sweeps
     assert result.converged
+
+
+@pytest.mark.parametrize(
+    "window", [tuple(range(w)) for w in range(2, 10)] + [(7, 2, 4, 0, 9)]
+)
+def test_round_robin_visits_every_pair_once_in_disjoint_rounds(window):
+    from onenorm.localize import _round_robin
+
+    rounds = _round_robin(window)
+    w = len(window)
+    assert len(rounds) == w - 1 + w % 2
+    seen = []
+    for i, j in rounds:
+        assert len(i) == len(j) == w // 2
+        assert (i < j).all()
+        members = np.concatenate([i, j])
+        assert len(set(members.tolist())) == len(members)
+        seen += list(zip(i.tolist(), j.tolist()))
+    expected = sorted(
+        (min(p, q), max(p, q)) for a, p in enumerate(window) for q in window[a + 1:]
+    )
+    assert sorted(seen) == expected
 
 
 def test_jacobi_leaves_a_flat_pair_alone():

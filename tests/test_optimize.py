@@ -303,10 +303,10 @@ def test_stop_reason_records_lbfgsb_stall_on_h20():
     ham = parse_fcidump(open(chain_path(20)).read())
     result = minimize_norm(ham, OptimizerConfig())
     assert result.stop_reason == "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
-    assert result.n_objective_calls == 11
+    assert result.n_objective_calls == 12
     assert len(result.trace) == 1
     assert result.converged
-    assert result.trace[-1].grad_inf_norm == pytest.approx(8.5, abs=0.05)
+    assert result.trace[-1].grad_inf_norm == pytest.approx(8.17, abs=0.05)
 
 
 @requires_fixtures
