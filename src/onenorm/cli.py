@@ -271,12 +271,8 @@ def _cmd_optimize(args):
         raise NumericalError(f"1-norm optimization did not converge: {result.stop_reason}")
     _write_result(args, result)
     if args.trace_out:
-        trace_csv = "iteration,lambda_Q,grad_inf_norm,best_so_far\n" + "".join(
-            f"{r.iteration},{r.lambda_value!r},"
-            f"{'' if r.grad_inf_norm is None else repr(r.grad_inf_norm)},{r.best_so_far!r}\n"
-            for r in result.trace
-        )
-        _write_output(args.trace_out, trace_csv)
+        rows = "".join(f"{r.iteration},{r.lambda_value!r},{r.best_so_far!r}\n" for r in result.trace)
+        _write_output(args.trace_out, "iteration,lambda_Q,best_so_far\n" + rows)
     _emit(
         args,
         {
@@ -287,7 +283,7 @@ def _cmd_optimize(args):
             "n_objective_calls": result.n_objective_calls,
             "n_gradient_calls": result.n_gradient_calls,
             "stop_reason": result.stop_reason,
-            "grad_inf_norm": result.trace[-1].grad_inf_norm if result.trace else None,
+            "grad_inf_norm": result.grad_inf_norm,
             "lambda_initial": result.lambda_initial,
             "lambda_start": result.lambda_start,
             "lambda_final": result.lambda_final,

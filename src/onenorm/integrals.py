@@ -313,6 +313,8 @@ class ActiveSpaceSpec:
                 "must be even and non-negative"
             )
         n_frozen = n_frozen_elec // 2
+        if n_active_orbitals < 0:
+            raise InputError(f"the active window needs >= 0 orbitals, got {n_active_orbitals}")
         if n_frozen + n_active_orbitals > n_orbitals:
             raise InputError(
                 f"{n_frozen} frozen + {n_active_orbitals} active orbitals "

@@ -169,6 +169,7 @@ def norm_report(
     cholesky_tolerance: float = 1e-8,
 ) -> NormReport:
     """Compute all norm variants; sum |g| is taken once and shared."""
+    _check_cholesky_tolerance(cholesky_tolerance)
     g = ham.two_body_dense()
     lc = _lambda_c(ham.one_body, g)
     lt = _lambda_t(ham.one_body, g)
@@ -214,6 +215,11 @@ class CholeskyFactorization:
         return out
 
 
+def _check_cholesky_tolerance(tolerance):
+    if not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise InputError(f"Cholesky tolerance must be finite and >= 0, got {tolerance}")
+
+
 def cholesky_decompose(
     ham: MolecularHamiltonian, tolerance: float = 1e-8
 ) -> CholeskyFactorization:
@@ -228,8 +234,7 @@ def cholesky_decompose(
     -10*tolerance mean the tensor is not positive semi-definite (beyond
     round-off slack) and raise.
     """
-    if not (np.isfinite(tolerance) and tolerance >= 0.0):
-        raise InputError(f"Cholesky tolerance must be finite and >= 0, got {tolerance}")
+    _check_cholesky_tolerance(tolerance)
     n = ham.n_orbitals
     p, q, pairs = pair_matrix(ham.two_body_dense())
     order = np.argsort(q * n + p)

@@ -12,6 +12,7 @@ higher 1-norm than the starting one.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,6 @@ class OptimizerConfig:
 class IterationRecord:
     iteration: int
     lambda_value: float
-    grad_inf_norm: float | None  # None unless the last gradient was at this point
     best_so_far: float
 
 
@@ -89,6 +89,7 @@ class OptimizationResult:
     n_gradient_calls: int
     start_scheme: str | None = None
     stop_reason: str = ""  # scipy's message, or why scipy was not run or did not finish
+    grad_inf_norm: float | None = None  # max |subgradient| at the returned point
 
     @property
     def reduction_percent(self) -> float:
@@ -178,42 +179,34 @@ def _gradient(kvec, window, rotated) -> np.ndarray:
     return dk[rows, cols] - dk[cols, rows]
 
 
+_Point = namedtuple("_Point", "x value rotation hamiltonian")  # x, then objective's full output
+
+
 class _TrackedObjective:
-    """Objective and gradient for scipy: call counts, the best point, the
-    last point's rotation, which a gradient at that point reuses, and the
-    last gradient's point and infinity-norm."""
+    """Objective and gradient for scipy: call counts and the last and the
+    best evaluated ``_Point``; a gradient at the last point reuses its
+    rotation."""
 
     def __init__(self, ham_ref, window):
         self.ham_ref = ham_ref
         self.window = window
         self.calls = 0
         self.gradient_calls = 0
-        self.best_value = np.inf
-        self.best_x = None
-        self.grad_x = None
-        self.grad_inf_norm = np.nan
-        self._x = None
-        self._value = None
-        self._rotated = None  # (rotation, hamiltonian) at self._x
+        self.last = self.best = None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self._x is None or not np.array_equal(x, self._x):
-            value, *rotated = objective(self.ham_ref, x, self.window, full_output=True)
+        if self.last is None or not np.array_equal(x, self.last.x):
+            self.last = _Point(x.copy(), *objective(self.ham_ref, x, self.window, full_output=True))
             self.calls += 1
-            self._x, self._value, self._rotated = x.copy(), value, rotated
-            if value < self.best_value:
-                self.best_value = value
-                self.best_x = self._x
-        return self._value
+            if self.best is None or self.last.value < self.best.value:
+                self.best = self.last
+        return self.last.value
 
     def gradient(self, x):
         self(x)
-        grad = _gradient(self._x, self.window, self._rotated)
         self.gradient_calls += 1
-        self.grad_x = self._x
-        self.grad_inf_norm = float(np.max(np.abs(grad), initial=0.0))
-        return grad
+        return _gradient(self.last.x, self.window, self.last[2:])
 
 
 def minimize_norm(
@@ -224,15 +217,16 @@ def minimize_norm(
 ) -> OptimizationResult:
     """Minimize lambda_Q over window rotations, optionally pre-localizing.
 
-    The returned rotation folds in any localization pre-rotation; the
-    final lambda_Q is that of the best point ever evaluated, hence never
-    above the starting value.
+    The result is the best point ever evaluated, hence never above the
+    starting value: its own lambda_Q and Hamiltonian, its rotation after
+    any localization pre-rotation, and the subgradient norm there.
     """
     n = ham.n_orbitals
     window = resolve_window(config.window, n)
     lambda_initial = lambda_q(ham)
 
     scheme = config.start_scheme()
+    pre_rotation, ham_ref = OrbitalRotation.identity(n), ham
     if scheme is not None:
         loc = localize(
             ham,
@@ -241,11 +235,7 @@ def minimize_norm(
             LocalizationRequest(scheme=scheme, window=config.window,
                                 method=config.localization_method),
         )
-        pre_rotation = loc.rotation
-        ham_ref = loc.hamiltonian
-    else:
-        pre_rotation = OrbitalRotation.identity(n)
-        ham_ref = ham
+        pre_rotation, ham_ref = loc.rotation, loc.hamiltonian
 
     n_params = len(window) * (len(window) - 1) // 2
     tracked = _TrackedObjective(ham_ref, window)
@@ -254,11 +244,8 @@ def minimize_norm(
     trace: list[IterationRecord] = []
 
     def callback(xk, *_args):
-        value = tracked(xk)
-        at_xk = np.array_equal(xk, tracked.grad_x)  # SLSQP reports xk before its gradient
-        trace.append(IterationRecord(iteration=len(trace), lambda_value=value,
-                                     grad_inf_norm=tracked.grad_inf_norm if at_xk else None,
-                                     best_so_far=tracked.best_value))
+        trace.append(IterationRecord(iteration=len(trace), lambda_value=tracked(xk),
+                                     best_so_far=tracked.best.value))
 
     if n_params == 0:
         converged, stop_reason = True, "no free parameters"
@@ -285,17 +272,21 @@ def minimize_norm(
             stacklevel=2,
         )
 
-    total_rotation = pre_rotation.then(_window_rotation(n, window, tracked.best_x))
+    best = tracked.best
+    grad_inf_norm = None  # taken once, outside the solver's counts
+    if n_params:
+        grad_inf_norm = float(np.max(np.abs(_gradient(best.x, window, best[2:]))))
     return OptimizationResult(
-        rotation=total_rotation,
-        hamiltonian=rotate_hamiltonian(ham, total_rotation),
+        rotation=pre_rotation.then(best.rotation),
+        hamiltonian=best.hamiltonian,
         trace=tuple(trace),
         converged=converged,
         lambda_initial=lambda_initial,
         lambda_start=lambda_start,
-        lambda_final=tracked.best_value,
+        lambda_final=best.value,
         n_objective_calls=tracked.calls,
         n_gradient_calls=tracked.gradient_calls,
         start_scheme=scheme,
         stop_reason=stop_reason,
+        grad_inf_norm=grad_inf_norm,
     )

@@ -161,6 +161,9 @@ def test_freeze_fermi_window(capsys, tmp_path, rng):
     _, shift = freeze_core(ham, spec)
     assert payload["shift"] == pytest.approx(shift, abs=1e-12)
     assert payload["n_active_orbitals"] == 2
+    for window in ("-1", "-3"):
+        code, out, err = invoke(capsys, "freeze", str(path), "--fermi-window", window)
+        assert (code, out) == (1, "") and ">= 0 orbitals" in err
 
 
 def test_localize_and_reapply_rotation(capsys, tmp_path, small_fcidump):
@@ -214,10 +217,10 @@ def test_optimize_subcommand(capsys, tmp_path, small_fcidump):
     assert payload["lambda_final"] <= payload["lambda_start"] + 1e-9
     assert payload["n_gradient_calls"] >= 1
     assert payload["stop_reason"]
-    header, *rows = trace_path.read_text().splitlines()
-    assert header == "iteration,lambda_Q,grad_inf_norm,best_so_far"
+    _, *rows = trace_path.read_text().splitlines()
     assert len(rows) == payload["iterations"] >= 1
-    assert payload["grad_inf_norm"] == float(rows[-1].split(",")[2])
+    assert payload["lambda_final"] <= min(float(row.split(",")[1]) for row in rows)
+    assert isinstance(payload["grad_inf_norm"], float)
 
 
 def test_optimize_window_flag(capsys, small_fcidump):
@@ -475,6 +478,8 @@ def test_rotate_rejects_malformed_matrix_files(capsys, tmp_path, small_fcidump):
     (["norm", "{path}", "--cholesky", "--cholesky-tol", "nan"], "Cholesky tolerance"),
     (["jacobi-scan", "{path}", "--pair", "0", "1", "--max-angle", "nan"], "--max-angle"),
     (["jacobi-scan", "{path}", "--pair", "0", "1", "--max-angle", "inf"], "--max-angle"),
+    (["norm", "{path}", "--cholesky-tol", "-1"], "Cholesky tolerance"),
+    (["norm", "{path}", "--cholesky-tol", "nan"], "Cholesky tolerance"),
 ])
 def test_negative_caps_and_tolerances_are_input_errors(capsys, small_fcidump, argv, message):
     path, _ = small_fcidump
@@ -486,16 +491,23 @@ def test_negative_caps_and_tolerances_are_input_errors(capsys, small_fcidump, ar
 
 @requires_fixtures
 def test_an_iteration_cap_is_not_convergence(capsys):
-    # a zero cap returns the start unmoved, and that is not convergence
-    from conftest import chain_path
+    # a zero cap returns the start unmoved, with the subgradient norm there,
+    # and that is not convergence
+    from onenorm import LocalizationRequest, localize, objective, parse_fcidump
+    from onenorm.optimize import _gradient
 
+    ham = parse_fcidump(open(chain_path(4)).read())
+    er = localize(ham, None, None, LocalizationRequest(scheme="er"))
+    zero = np.zeros(6)
+    _, *rotated = objective(er.hamiltonian, zero, full_output=True)
+    start_norm = np.max(np.abs(_gradient(zero, range(4), rotated)))
     for algorithm in ("quasi-newton-bounded", "sequential-quadratic"):
         argv = ["optimize", chain_path(4), "--max-iter", "0", "--algorithm", algorithm]
         code, out, _ = invoke(capsys, *argv)
         payload = json.loads(out)
         assert code == 0 and not payload["converged"]
         assert payload["stop_reason"] == "max_iterations is 0: returned the start"
-        assert payload["iterations"] == 0 and payload["grad_inf_norm"] is None
+        assert payload["iterations"] == 0 and payload["grad_inf_norm"] == start_norm
         assert payload["lambda_final"] == payload["lambda_start"]
         assert invoke(capsys, "--strict", *argv)[0] == 2
 

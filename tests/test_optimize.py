@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -257,10 +259,9 @@ def test_gradient_reuses_last_evaluation(rng):
     assert (tracked.calls, tracked.gradient_calls) == (1, 1)
     _, *rotated = objective(ham, x, full_output=True)
     assert np.array_equal(grad, _gradient(x, tuple(range(4)), rotated))
-    assert tracked.grad_inf_norm == np.max(np.abs(grad))
     tracked.gradient(-x)
     assert (tracked.calls, tracked.gradient_calls) == (2, 2)
-    assert tracked.best_value == min(objective(ham, x), objective(ham, -x))
+    assert tracked.best.value == min(objective(ham, x), objective(ham, -x))
 
 
 def test_trace_records_monotone_best(rng):
@@ -283,7 +284,7 @@ def test_bit_reproducible(rng):
     assert np.array_equal(first.rotation.matrix, second.rotation.matrix)
     assert first.n_objective_calls == second.n_objective_calls
     assert first.n_gradient_calls == second.n_gradient_calls > 0
-    assert [r.grad_inf_norm for r in first.trace] == [r.grad_inf_norm for r in second.trace]
+    assert first.grad_inf_norm == second.grad_inf_norm is not None
 
 
 def test_reduction_percent(rng):
@@ -306,7 +307,7 @@ def test_stop_reason_records_lbfgsb_stall_on_h20():
     assert result.n_objective_calls == 12
     assert len(result.trace) == 1
     assert result.converged
-    assert result.trace[-1].grad_inf_norm == pytest.approx(8.17, abs=0.05)
+    assert result.grad_inf_norm == pytest.approx(8.17, abs=0.05)
 
 
 @requires_fixtures
@@ -319,33 +320,56 @@ def test_max_iterations_caps_the_whole_run(algorithm):
 
 
 @requires_fixtures
+@pytest.mark.parametrize("start", ["current", "localized:er"])
 @pytest.mark.parametrize("algorithm", ["quasi-newton-bounded", "sequential-quadratic"])
-def test_trace_gradient_norms_are_taken_at_the_iterate(monkeypatch, algorithm):
-    # SLSQP reports an iterate before taking the gradient there, so a row
-    # may carry no norm; a norm it does carry is the one at its own point
+def test_the_result_is_the_best_evaluation(monkeypatch, algorithm, start):
+    # the returned Hamiltonian is the best evaluation's own, and the norm is
+    # the subgradient's at that point, whichever iterate the solver ended on
     import onenorm.optimize as optimize_module
     from onenorm.optimize import _gradient
 
-    points = []
-    scipy_minimize = optimize_module.scipy_minimize
+    evaluated = []
+    original = optimize_module.objective
 
-    def recording_minimize(*args, callback, **kwargs):
-        def record(xk, *rest):
-            points.append(np.array(xk, dtype=float))
-            return callback(xk, *rest)
-        return scipy_minimize(*args, callback=record, **kwargs)
+    def recording_objective(ham_ref, kvec, *args, **kwargs):
+        out = original(ham_ref, kvec, *args, **kwargs)
+        evaluated.append((out[0], ham_ref, np.array(kvec, dtype=float)))
+        return out
 
-    monkeypatch.setattr(optimize_module, "scipy_minimize", recording_minimize)
+    monkeypatch.setattr(optimize_module, "objective", recording_objective)
     ham = parse_fcidump(open(chain_path(6)).read())
-    result = minimize_norm(ham, OptimizerConfig(algorithm=algorithm, start_from="current"))
+    result = minimize_norm(ham, OptimizerConfig(algorithm=algorithm, start_from=start))
+    assert lambda_q(result.hamiltonian) == result.lambda_final
+    value, ham_ref, x = min(evaluated, key=lambda point: point[0])
+    assert value == result.lambda_final and len(evaluated) == result.n_objective_calls
     window = tuple(range(ham.n_orbitals))
-    assert len(points) == len(result.trace) > 0
-    for x, record in zip(points, result.trace):
-        if record.grad_inf_norm is not None:
-            _, *rotated = objective(ham, x, window, full_output=True)
-            assert record.grad_inf_norm == np.max(np.abs(_gradient(x, window, rotated)))
-    if algorithm == "quasi-newton-bounded":  # L-BFGS-B takes it at every iterate
-        assert all(record.grad_inf_norm is not None for record in result.trace)
+    _, *rotated = objective(ham_ref, x, window, full_output=True)
+    assert result.grad_inf_norm == np.max(np.abs(_gradient(x, window, rotated)))
+
+
+@requires_fixtures
+def test_h2_sequential_quadratic_run_at_one_blas_thread():
+    # the h2_optimize benchmark run: SLSQP from the ER-ascent start, in a
+    # fresh interpreter so that the BLAS thread count is set before numpy loads
+    import subprocess
+    import sys
+
+    from conftest import H2_FCIDUMP
+
+    code = (
+        "from onenorm import OptimizerConfig, minimize_norm, parse_fcidump\n"
+        f"ham = parse_fcidump(open({H2_FCIDUMP!r}).read())\n"
+        "config = OptimizerConfig(start_from='localized:er', localization_method='ascent',\n"
+        "                         algorithm='sequential-quadratic', max_iterations=400)\n"
+        "r = minimize_norm(ham, config)\n"
+        "print(repr((r.lambda_final, r.grad_inf_norm, r.n_objective_calls, r.n_gradient_calls)))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    one = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", code], check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src, **one),
+                         capture_output=True, text=True).stdout
+    assert out == repr((90.44164546364041, 4.8257269992892455, 154, 46)) + "\n"
 
 
 @pytest.mark.parametrize("algorithm", ["quasi-newton-bounded", "sequential-quadratic"])

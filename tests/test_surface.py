@@ -69,7 +69,9 @@ def test_configuration_fields_are_pinned():
 def test_optimize_json_keys_are_pinned(capsys, tmp_path, rng):
     path = tmp_path / "small.fcidump"
     path.write_text(write_fcidump(random_hamiltonian(3, rng)))
-    assert run(["optimize", str(path), "--max-iter", "5"]) == 0
+    trace_path = tmp_path / "trace.csv"
+    assert run(["optimize", str(path), "--max-iter", "5", "--trace-out", str(trace_path)]) == 0
+    assert trace_path.read_text().splitlines()[0] == "iteration,lambda_Q,best_so_far"
     assert set(json.loads(capsys.readouterr().out)) == {
         "algorithm", "start", "converged", "iterations", "n_objective_calls",
         "n_gradient_calls", "stop_reason", "grad_inf_norm", "lambda_initial",

@@ -318,6 +318,11 @@ def test_active_space_around_fermi():
         ActiveSpaceSpec.around_fermi(6, 5, 3, 2)
     with pytest.raises(InputError, match="exceed"):
         ActiveSpaceSpec.around_fermi(4, 6, 3, 2)
+    empty = ActiveSpaceSpec.around_fermi(6, 6, 0, 0)  # a zero window is valid
+    assert (empty.frozen, empty.active) == ((0, 1, 2), ())
+    for window in (-1, -3):
+        with pytest.raises(InputError, match=">= 0 orbitals"):
+            ActiveSpaceSpec.around_fermi(6, 6, window, 2)
 
 
 def test_lowdin_identity():
