@@ -5,14 +5,15 @@ files, emits JSON to stdout by default (CSV behind ``--csv`` where the
 output is tabular), and exits 0 on success, 1 on input errors (argparse
 usage errors included), 2 on numerical failures (non-PSD tensors, or
 non-convergence under --strict).
-Identical argv and inputs produce byte-identical stdout.
+Identical argv and inputs produce byte-identical stdout at a fixed BLAS
+thread count, which comes from OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS /
+MKL_NUM_THREADS) as set before the process starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
@@ -102,30 +103,6 @@ def _parse_indices(text: str | None):
         raise InputError(f"expected a comma/space separated index list, got {text!r}") from None
 
 
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _apply_thread_limit(args):
-    n = args.threads
-    if n is None:
-        n = os.environ.get("ONENORM_THREADS")
-    if n is None:
-        return
-    try:
-        n = int(n)
-    except ValueError:
-        raise InputError(f"--threads must be an integer, got {n!r}") from None
-    if n <= 0:
-        raise InputError("--threads must be positive")
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        for var in _BLAS_THREAD_VARS:
-            os.environ[var] = str(n)
-
-
 def _norms_payload(ham, with_cholesky=False, tolerance=1e-8):
     return norms.norm_report(
         ham, with_cholesky=with_cholesky, cholesky_tolerance=tolerance
@@ -182,8 +159,6 @@ def _cmd_jacobi_scan(args):
 def _cmd_freeze(args):
     ham = _load_hamiltonian(args.input)
     if args.fermi_window is not None:
-        if ham.n_electrons is None:
-            raise InputError("--fermi-window needs NELEC in the FCIDUMP header")
         spec = ActiveSpaceSpec.around_fermi(
             ham.n_orbitals,
             ham.n_electrons,
@@ -348,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="onenorm",
         description="Pauli 1-norms of electronic-structure Hamiltonians",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS threads (default: ONENORM_THREADS or all cores)")
     parser.add_argument("--strict", action="store_true",
                         help="exit 2 when an iterative method fails to converge")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -457,9 +430,7 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 0 if exc.code == 0 else 1
-    saved = {var: os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
     try:
-        _apply_thread_limit(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -467,10 +438,6 @@ def run(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    finally:  # the limit is for this command only
-        for var in _BLAS_THREAD_VARS:
-            os.environ.pop(var, None)
-        os.environ.update(saved)
 
 
 def main():

@@ -400,31 +400,50 @@ def test_usage_errors_return_input_error_code(capsys, small_fcidump):
     assert "usage" in out
 
 
-def test_threads_flag_validation(capsys, monkeypatch, small_fcidump):
-    path, _ = small_fcidump
-    code, _, err = invoke(capsys, "--threads", "0", "norm", path)
-    assert code == 1
-    code, out, _ = invoke(capsys, "--threads", "2", "norm", path)
-    assert code == 0
-    monkeypatch.setenv("ONENORM_THREADS", "abc")
-    code, out, err = invoke(capsys, "norm", path)
-    assert (code, out) == (1, "")
-    assert err == "error: --threads must be an integer, got 'abc'\n"
-
-
-def test_threads_flag_leaves_the_environment_as_it_was(capsys, monkeypatch, small_fcidump):
-    # without threadpoolctl the limit goes through the BLAS variables; one
-    # unset and one set beforehand, both as they were after the command
+def test_run_leaves_the_environment_as_it_was(capsys, monkeypatch, small_fcidump):
+    # the BLAS thread count is the process's own: run neither reads nor
+    # writes the environment, on success or on an input error
     path, _ = small_fcidump
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     before = dict(os.environ)
-    code, _, _ = invoke(capsys, "--threads", "2", "norm", path)
+    code, _, _ = invoke(capsys, "norm", path)
     assert code == 0
     assert dict(os.environ) == before
-    code, _, _ = invoke(capsys, "--threads", "2", "norm", "missing.fcidump")
+    code, _, _ = invoke(capsys, "norm", "missing.fcidump")
     assert code == 1
     assert dict(os.environ) == before
+
+
+@requires_fixtures
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_norm_at_one_blas_thread_runs_on_one_os_thread_and_matches_two():
+    # the BLAS variables set before the process starts are the thread
+    # contract; norm on H20 prints the same bytes at 1 and at 2 threads
+    import subprocess
+    import sys
+
+    code = (
+        "import os, sys\n"
+        "from onenorm.cli import run\n"
+        f"status = run(['norm', {chain_path(20)!r}, '--cholesky'])\n"
+        "sys.stderr.write(f\"{len(os.listdir('/proc/self/task'))}\\n\")\n"
+        "sys.exit(status)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def norm_at(threads):
+        pin = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
+                            str(threads))
+        return subprocess.run([sys.executable, "-c", code], timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src, **pin),
+                              capture_output=True, text=True)
+
+    one, two = norm_at(1), norm_at(2)
+    assert (one.returncode, two.returncode) == (0, 0)
+    assert one.stderr == "1\n"
+    assert one.stdout == two.stdout
+    assert "lambda_SF" in json.loads(one.stdout)
 
 
 @requires_fixtures
@@ -458,6 +477,8 @@ def test_rotate_rejects_malformed_matrix_files(capsys, tmp_path, small_fcidump):
         "differ in length": "1 0\n0\n",
         "duplicate section": write_labeled_matrix("ROTATION", np.eye(3)) * 2,
         "not orthogonal": "nan 0 0\n0 1 0\n0 0 1\n",
+        "bad section header": "#SECTION A 2\n1 0\n0 1\n",
+        "empty matrix file": "\n// a comment\n\n//\n",
     }
     for message, text in bad.items():
         matrix_path = tmp_path / "m.txt"
@@ -480,6 +501,8 @@ def test_rotate_rejects_malformed_matrix_files(capsys, tmp_path, small_fcidump):
     (["jacobi-scan", "{path}", "--pair", "0", "1", "--max-angle", "inf"], "--max-angle"),
     (["norm", "{path}", "--cholesky-tol", "-1"], "Cholesky tolerance"),
     (["norm", "{path}", "--cholesky-tol", "nan"], "Cholesky tolerance"),
+    (["optimize", "{path}", "--window", "0,x"], "expected a comma/space separated index list"),
+    (["freeze", "{path}"], "freeze requires --active or --fermi-window"),
 ])
 def test_negative_caps_and_tolerances_are_input_errors(capsys, small_fcidump, argv, message):
     path, _ = small_fcidump

@@ -129,6 +129,16 @@ def test_parse_errors():
         parse_fcidump(" &FCI NORB=2,NELEC=2,\n &END\n0.1 1 1 0\n")
     with pytest.raises(InputError, match="unterminated"):
         parse_fcidump(" &FCI NORB=2,NELEC=2,\n0.1 1 1 0 0\n")
+    with pytest.raises(InputError, match="non-integer index"):
+        parse_fcidump(" &FCI NORB=2,NELEC=2,\n &END\n0.1 x 1 0 0\n")
+    with pytest.raises(InputError, match="line 3: malformed index pattern"):
+        parse_fcidump(" &FCI NORB=2,NELEC=2,\n &END\n1.0 0 1 0 0\n")
+    body = "0.5 1 1 1 1\n-0.25 2 1 0 0\n0.75 0 0 0 0\n"
+    plain = parse_fcidump(" &FCI NORB=2,NELEC=2,\n &END\n" + body)
+    blank = parse_fcidump(" &FCI NORB=2,NELEC=2,\n &END\n\n" + body.replace("\n", "\n \n", 1))
+    assert np.array_equal(blank.one_body, plain.one_body)
+    assert np.array_equal(blank.two_body, plain.two_body)
+    assert blank.core_constant == plain.core_constant == 0.75
 
 
 def test_duplicate_entries_overwrite_with_warning():

@@ -49,7 +49,7 @@ def _subcommands(parser):
 
 def test_cli_flags_are_pinned():
     parser = build_parser()
-    assert _flags(parser) == {"--threads", "--strict"}
+    assert _flags(parser) == {"--strict"}
     subcommands = _subcommands(parser)
     assert {name: _flags(sub) for name, sub in subcommands.items()} == SUBCOMMAND_FLAGS
     algorithm = next(a for a in subcommands["optimize"]._actions if a.dest == "algorithm")
@@ -86,6 +86,7 @@ def test_optimize_json_keys_are_pinned(capsys, tmp_path, rng):
     ["optimize", H2_FCIDUMP, "--algorithm", "slsqp"],
     ["optimize", H2_FCIDUMP, "--algorithm", "lbfgsb"],
     ["freeze", H2_FCIDUMP, "--active", "0,1", "--virtual", ""],
+    ["--threads", "1", "norm", H2_FCIDUMP],
 ])
 def test_removed_flags_and_aliases_are_usage_errors(capsys, argv):
     assert run(argv) == 1
