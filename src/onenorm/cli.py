@@ -252,7 +252,7 @@ def _cmd_optimize(args):
         args,
         {
             "algorithm": config.algorithm,
-            "start": args.start,
+            "start": result.start_scheme or "current",
             "converged": result.converged,
             "iterations": len(result.trace),
             "n_objective_calls": result.n_objective_calls,

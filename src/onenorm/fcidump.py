@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from typing import NoReturn
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .integrals import (
     AuxiliaryIntegrals,
     MolecularHamiltonian,
     from_pair_matrix,
+    pair_index,
     pair_matrix,
 )
 
@@ -59,6 +61,93 @@ def _parse_namelist(lines: list[str]) -> tuple[dict, int]:
     return fields, end + 1
 
 
+_BODY_ROW = np.dtype([("value", "f8"), ("i", "i4"), ("j", "i4"), ("k", "i4"), ("l", "i4")])
+
+
+def _as_number(text: str, kind):
+    """``kind(text)`` under loadtxt's grammar (ASCII, no underscores), else None."""
+    try:
+        return kind(text) if text.isascii() and "_" not in text else None
+    except ValueError:
+        return None
+
+
+def _raise_at_bad_line(lines: list[str], body_start: int, norb: int, fallback: str) -> NoReturn:
+    """Raise the InputError of the first bad body line (``fallback`` if none
+    is found): runs only once the whole-body read or its checks failed."""
+    for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) != 5:
+            raise InputError(f"line {lineno}: expected 'value i j k l', got {raw!r}")
+        if _as_number(tokens[0], float) is None:
+            raise InputError(f"line {lineno}: non-numeric value {tokens[0]!r}")
+        idx = [_as_number(t, int) for t in tokens[1:]]
+        if None in idx:
+            raise InputError(f"line {lineno}: non-integer index in {raw!r}")
+        for i in idx:
+            if i < 0 or i > norb:
+                raise InputError(f"line {lineno}: index {i} outside [0, {norb}]")
+        i, j, k, l = idx
+        if (i or j or k or l) and not (i and j and (k and l or not (k or l))):
+            raise InputError(f"line {lineno}: malformed index pattern {raw!r}")
+    raise InputError(fallback)
+
+
+def _read_rows(lines: list[str], body_start: int, norb: int) -> np.ndarray:
+    """The body lines ``value i j k l`` as rows of one ``np.loadtxt`` pass,
+    with whole-array index checks; only a failed read or check goes line
+    by line, to raise the InputError of the first bad line."""
+    body = lines[body_start:]
+    if not any(map(str.strip, body)):  # loadtxt warns on an empty body
+        return np.zeros(0, _BODY_ROW)
+    try:
+        rows = np.loadtxt(body, dtype=_BODY_ROW, comments=None, ndmin=1)
+    except ValueError as exc:
+        _raise_at_bad_line(lines, body_start, norb, f"unreadable FCIDUMP body: {exc}")
+    i, j, k, l = (rows[c] for c in "ijkl")
+    one = (k == 0) & (l == 0)
+    # core 0 0 0 0, one-body i j 0 0 or two-body i j k l: no index below 0
+    valid = one & (i == 0) & (j == 0) | (i > 0) & (j > 0) & (one | (k > 0) & (l > 0))
+    if not (valid.all() and max(x.max() for x in (i, j, k, l)) <= norb):
+        _raise_at_bad_line(lines, body_start, norb, "bad index in the FCIDUMP body")
+    return rows
+
+
+def _scatter(rows: np.ndarray, h: np.ndarray, pairs: np.ndarray):
+    """Store the last row of each slot: one-body rows in the lower triangle
+    of h, two-body rows in the lower triangle of the (pq|rs) pair matrix.
+
+    Returns the core constant and the conflicting duplicates, each as
+    ``(row, old value, new value)``, in row order.
+    """
+    norb, n_pairs = len(h), len(pairs)
+    i, j, k, l = (rows[c].astype(np.int64) - 1 for c in "ijkl")
+    a, b = pair_index(i, j), pair_index(k, l)
+    # one key space: the core -1, g slots a * P + b (a >= b), then h slots
+    # P^2 + p * N + q (p >= q)
+    key = np.maximum(a, b) * n_pairs + np.minimum(a, b)
+    one = k < 0
+    key[one] = n_pairs * n_pairs + (np.maximum(i, j) * norb + np.minimum(i, j))[one]
+    key[i < 0] = -1
+    order = np.argsort(key, kind="stable")  # equal slots stay in row order
+    key, value = key[order], rows["value"][order]
+    last = np.ones(len(key), dtype=bool)  # the last row of each slot wins
+    last[:-1] = key[1:] != key[:-1]
+    with np.errstate(invalid="ignore"):  # inf - inf: no conflict, as for nan
+        at = np.flatnonzero(~last[:-1] & (key[:-1] >= 0)
+                            & (np.abs(value[1:] - value[:-1]) > 1e-10))
+    at = at[np.argsort(order[at + 1])]
+    conflicts = list(zip(order[at + 1].tolist(), value[at].tolist(), value[at + 1].tolist()))
+    key, value = key[last], value[last]
+    core = float(value[0]) if len(key) and key[0] < 0 else 0.0
+    lo, hi = np.searchsorted(key, [0, n_pairs * n_pairs])
+    pairs.reshape(-1)[key[lo:hi]] = value[lo:hi]
+    h.reshape(-1)[key[hi:] - n_pairs * n_pairs] = value[hi:]
+    return core, conflicts
+
+
 def parse_fcidump(text: str) -> MolecularHamiltonian:
     """Parse FCIDUMP text (a string: read a file first) into a Hamiltonian.
 
@@ -82,67 +171,32 @@ def parse_fcidump(text: str) -> MolecularHamiltonian:
     try:
         h = np.zeros((norb, norb))
         pairs = np.zeros((n_pairs, n_pairs))
-        seen_h = bytearray(norb * norb)
-        seen_g = bytearray(n_pairs * n_pairs)
     except (ValueError, MemoryError):  # too many elements, or too many bytes
         raise InputError(f"NORB={norb} is too large to allocate") from None
-    # flat views: h slot p * norb + q (p >= q), g slot a * n_pairs + b (a >= b)
-    h_flat = memoryview(h.reshape(-1))
-    g_flat = memoryview(pairs.reshape(-1))
-    core = 0.0
-
-    for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if len(tokens) != 5:
-            raise InputError(f"line {lineno}: expected 'value i j k l', got {raw!r}")
-        try:
-            value = float(tokens[0])
-        except ValueError:
-            raise InputError(f"line {lineno}: non-numeric value {tokens[0]!r}") from None
-        try:
-            i, j, k, l = (int(t) for t in tokens[1:])
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer index in {raw!r}") from None
-        for idx in (i, j, k, l):
-            if idx < 0 or idx > norb:
-                raise InputError(
-                    f"line {lineno}: index {idx} outside [0, {norb}]"
-                )
-        if i == j == k == l == 0:
-            core = value
-            continue
-        if k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise InputError(f"line {lineno}: malformed index pattern {raw!r}")
-            store, seen = h_flat, seen_h
-            slot = (i - 1) * norb + j - 1 if i >= j else (j - 1) * norb + i - 1
-        elif 0 in (i, j, k, l):
-            raise InputError(f"line {lineno}: malformed index pattern {raw!r}")
-        else:
-            # pair indices of {i, j} and {k, l}, inline: this runs once per line
-            a = i * (i - 1) // 2 + j - 1 if i >= j else j * (j - 1) // 2 + i - 1
-            b = k * (k - 1) // 2 + l - 1 if k >= l else l * (l - 1) // 2 + k - 1
-            store, seen = g_flat, seen_g
-            slot = a * n_pairs + b if a >= b else b * n_pairs + a
-        if seen[slot] and abs(store[slot] - value) > 1e-10:
+    rows = _read_rows(lines, body_start, norb)
+    del lines  # the line list outweighs every array built below
+    core, conflicts = _scatter(rows, h, pairs)
+    if conflicts:
+        linenos = [n for n, raw in enumerate(text.splitlines()[body_start:], start=body_start + 1)
+                   if raw.strip()]  # the line of each row
+        for row, old, new in conflicts:
+            i, j, k, l = rows[row].tolist()[1:]
             name = f"h[{i},{j}]" if k == 0 else f"g[{i},{j},{k},{l}]"
             warnings.warn(
-                f"line {lineno}: conflicting duplicate for {name} "
-                f"({store[slot]!r} -> {value!r})",
+                f"line {linenos[row]}: conflicting duplicate for {name} ({old!r} -> {new!r})",
                 DataWarning,
                 stacklevel=2,
             )
-        store[slot] = value
-        seen[slot] = 1
+    del rows
 
     h += np.tril(h, -1).T  # h lines fill the lower triangle
+    two_body = from_pair_matrix(pairs, norb)
+    del pairs
     return MolecularHamiltonian(
         n_orbitals=norb,
         core_constant=core,
         one_body=h,
-        two_body=from_pair_matrix(pairs, norb),
+        two_body=two_body,
         n_electrons=nelec,
     )
 
@@ -162,20 +216,25 @@ def write_fcidump(ham: MolecularHamiltonian) -> str:
     n = ham.n_orbitals
     nelec = ham.n_electrons if ham.n_electrons is not None else 0
     out = [
-        f" &FCI NORB={n},NELEC={nelec},MS2=0,",
-        "  ORBSYM=" + "1," * n,
-        "  ISYM=1,",
-        " &END",
+        f" &FCI NORB={n},NELEC={nelec},MS2=0,\n",
+        "  ORBSYM=" + "1," * n + "\n",
+        "  ISYM=1,\n",
+        " &END\n",
     ]
     p, q, pairs = pair_matrix(ham.two_body)
+    labels = np.array([*map("{} {}".format, (p + 1).tolist(), (q + 1).tolist())], dtype=object)
+    zeros = np.full(len(labels), "0 0", dtype=object)  # the k l of one-body lines
     a, b = np.tril_indices(len(pairs))  # the canonical slots, in line order
-    for values, labels in ((pairs[a, b], (p[a] + 1, q[a] + 1, p[b] + 1, q[b] + 1)),
-                           (ham.one_body[p, q], (p + 1, q + 1, 0 * p, 0 * p))):
+    for values, left, right in ((pairs[a, b], labels[a], labels[b]),
+                                (ham.one_body[p, q], labels, zeros)):
         keep = np.abs(values) > 1e-12
-        columns = (x[keep].tolist() for x in (values, *labels))
-        out.extend(map("{!r} {} {} {} {}".format, *columns))
-    out.append(f"{ham.core_constant!r} 0 0 0 0")
-    return "\n".join(out) + "\n"
+        table = np.empty((np.count_nonzero(keep), 3), dtype=object)
+        table[:, 0] = values[keep]  # as Python floats, so %r is their repr
+        table[:, 1] = left[keep]
+        table[:, 2] = right[keep]
+        out.append(("%r %s %s\n" * len(table)) % tuple(table.ravel()))
+    out.append(f"{ham.core_constant!r} 0 0 0 0\n")
+    return "".join(out)
 
 
 _AUX_SECTIONS = (

@@ -87,7 +87,7 @@ class OptimizationResult:
     lambda_final: float
     n_objective_calls: int
     n_gradient_calls: int
-    start_scheme: str | None = None
+    start_scheme: str | None = None  # the localization started from; None for the input
     stop_reason: str = ""  # scipy's message, or why scipy was not run or did not finish
     grad_inf_norm: float | None = None  # max |subgradient| at the returned point
 
@@ -217,9 +217,12 @@ def minimize_norm(
 ) -> OptimizationResult:
     """Minimize lambda_Q over window rotations, optionally pre-localizing.
 
-    The result is the best point ever evaluated, hence never above the
-    starting value: its own lambda_Q and Hamiltonian, its rotation after
-    any localization pre-rotation, and the subgradient norm there.
+    The run starts from the localized basis only when its lambda_Q is not
+    above the input's, and from the input otherwise; ``start_scheme`` names
+    the start used.  The result is the best point ever evaluated, hence
+    never above the starting value: its own lambda_Q and Hamiltonian, its
+    rotation after any localization pre-rotation, and the subgradient norm
+    there.
     """
     n = ham.n_orbitals
     window = resolve_window(config.window, n)
@@ -240,6 +243,10 @@ def minimize_norm(
     n_params = len(window) * (len(window) - 1) // 2
     tracked = _TrackedObjective(ham_ref, window)
     lambda_start = tracked(np.zeros(n_params))
+    if lambda_start > lambda_initial:  # the localized start is above the input: use the input
+        pre_rotation, scheme = OrbitalRotation.identity(n), None
+        tracked = _TrackedObjective(ham, window)
+        lambda_start = tracked(np.zeros(n_params))
 
     trace: list[IterationRecord] = []
 

@@ -215,6 +215,8 @@ def test_optimize_subcommand(capsys, tmp_path, small_fcidump):
     assert code == 0
     payload = json.loads(out)
     assert payload["lambda_final"] <= payload["lambda_start"] + 1e-9
+    assert payload["start"] == "er"  # the start used: ER is below the input here
+    assert payload["lambda_start"] <= payload["lambda_initial"]
     assert payload["n_gradient_calls"] >= 1
     assert payload["stop_reason"]
     _, *rows = trace_path.read_text().splitlines()

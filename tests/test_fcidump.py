@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onenorm import (
@@ -16,7 +18,8 @@ from onenorm import (
     write_fcidump,
 )
 from onenorm.errors import DataWarning, InputError
-from onenorm.fcidump import read_labeled_matrix, write_labeled_matrix
+from onenorm import MolecularHamiltonian
+from onenorm.fcidump import _parse_namelist, read_labeled_matrix, write_labeled_matrix
 from onenorm.integrals import from_pair_matrix, pair_index, pair_matrix
 
 from conftest import (
@@ -153,8 +156,6 @@ def test_duplicate_entries_overwrite_with_warning():
     assert ham.two_body[0, 0, 0, 0] == 0.50  # last one wins
 
     # an agreeing duplicate is silent
-    import warnings
-
     quiet = (
         " &FCI NORB=1,NELEC=2,\n &END\n"
         "0.25 1 1 1 1\n"
@@ -252,7 +253,7 @@ def reference_write_fcidump(ham):
 def test_writer_matches_reference_on_random_instances(rng):
     above = float(np.nextafter(1e-12, 1.0))
     edges = np.array([1e-12, -1e-12, above, -above, 0.0, -0.0])
-    for n in range(1, 8):
+    for n in range(1, 9):
         ham = random_hamiltonian(n, rng)
         # put the threshold edges on random canonical slots of g and on h
         p, q, pairs = pair_matrix(ham.two_body)
@@ -282,7 +283,9 @@ def test_shipped_fixtures_reproduce_through_parse_and_write():
     # the fixtures were written by the generator's own writer
     for path in [H2_FCIDUMP] + [chain_path(n) for n in CHAIN_SIZES]:
         text = open(path).read()
-        assert write_fcidump(parse_fcidump(text)) == text, path
+        ham = parse_fcidump(text)
+        assert _bits(ham) == _bits(reference_parse_fcidump(text)), path
+        assert write_fcidump(ham) == reference_write_fcidump(ham) == text, path
 
 
 def test_every_index_image_lands_in_the_canonical_slot(rng):
@@ -340,3 +343,185 @@ def test_labeled_matrix_follows_the_section_rules():
         read_labeled_matrix(text + write_labeled_matrix("rotation", np.eye(2)))
     with pytest.raises(InputError, match="expected 4 values"):
         read_labeled_matrix("#SECTION ROTATION 2 2\n1 0 0\n")
+
+
+def reference_parse_fcidump(text):
+    """The per-line parser: tokens split, converted and checked line by line,
+    every line stored at once under a seen-mask (later lines win)."""
+    lines = text.splitlines()
+    fields, body_start = _parse_namelist(lines)
+    try:
+        norb = int(fields["NORB"])
+        nelec = int(fields["NELEC"])
+    except KeyError as missing:
+        raise InputError(f"&FCI namelist must declare {missing.args[0]}") from None
+    except ValueError:
+        raise InputError("NORB and NELEC must be integers") from None
+    if norb < 0:
+        raise InputError("NORB must be non-negative")
+    n_pairs = norb * (norb + 1) // 2
+    h = np.zeros((norb, norb))
+    pairs = np.zeros((n_pairs, n_pairs))
+    seen_h, seen_g = bytearray(norb * norb), bytearray(n_pairs * n_pairs)
+    h_flat, g_flat = memoryview(h.reshape(-1)), memoryview(pairs.reshape(-1))  # Python floats
+    core = 0.0
+    for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) != 5:
+            raise InputError(f"line {lineno}: expected 'value i j k l', got {raw!r}")
+        try:
+            value = float(tokens[0])
+        except ValueError:
+            raise InputError(f"line {lineno}: non-numeric value {tokens[0]!r}") from None
+        try:
+            i, j, k, l = (int(t) for t in tokens[1:])
+        except ValueError:
+            raise InputError(f"line {lineno}: non-integer index in {raw!r}") from None
+        for idx in (i, j, k, l):
+            if idx < 0 or idx > norb:
+                raise InputError(f"line {lineno}: index {idx} outside [0, {norb}]")
+        if i == j == k == l == 0:
+            core = value
+            continue
+        if k == 0 and l == 0:
+            if i == 0 or j == 0:
+                raise InputError(f"line {lineno}: malformed index pattern {raw!r}")
+            store, seen = h_flat, seen_h
+            slot = (max(i, j) - 1) * norb + min(i, j) - 1
+        elif 0 in (i, j, k, l):
+            raise InputError(f"line {lineno}: malformed index pattern {raw!r}")
+        else:
+            a, b = int(pair_index(i - 1, j - 1)), int(pair_index(k - 1, l - 1))
+            store, seen = g_flat, seen_g
+            slot = max(a, b) * n_pairs + min(a, b)
+        if seen[slot] and abs(store[slot] - value) > 1e-10:
+            name = f"h[{i},{j}]" if k == 0 else f"g[{i},{j},{k},{l}]"
+            warnings.warn(
+                f"line {lineno}: conflicting duplicate for {name} "
+                f"({store[slot]!r} -> {value!r})",
+                DataWarning,
+                stacklevel=2,
+            )
+        store[slot] = value
+        seen[slot] = 1
+    h += np.tril(h, -1).T
+    return MolecularHamiltonian(
+        n_orbitals=norb, core_constant=core, one_body=h,
+        two_body=from_pair_matrix(pairs, norb), n_electrons=nelec,
+    )
+
+
+def _bits(ham):
+    return (ham.n_orbitals, ham.n_electrons, np.float64(ham.core_constant).tobytes(),
+            ham.one_body.tobytes(), ham.two_body.tobytes())
+
+
+def _outcome(parse, text):
+    """``("ok", bits, warning messages)`` or ``("error", message)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ham = parse(text)
+        except InputError as exc:
+            return "error", str(exc)
+    return "ok", _bits(ham), [str(w.message) for w in caught]
+
+
+# tokens that float() and int() read exactly as loadtxt does, and tokens both reject
+_VALUE_TOKENS = ["0.25", "0.5", "-0.75", "1e-11", "0", "-0.0", "1.5e+2", "+.5", "5."]
+_NONFINITE_TOKENS = ["nan", "inf", "-Infinity", "1e999"]
+_BAD_VALUE_TOKENS = ["abc", "1.2.3", "0x1", "1e", "--1", "1d0"]
+_BAD_INDEX_TOKENS = ["1.0", "x", "1e0", "++1", "2-"]
+
+
+@st.composite
+def fcidump_bodies(draw):
+    """A header and a body of random lines: canonical entries and their
+    images, repeats with agreeing or conflicting values and blank lines,
+    with up to three broken lines put in: a bad token count, value token,
+    index token, index range or index pattern, or a non-finite value."""
+    norb = draw(st.integers(1, 3))
+    index = st.integers(1, norb)
+
+    def line(kind):
+        if kind == "blank":
+            return draw(st.sampled_from(["", "  ", "\t "]))
+        i, j, k, l = (draw(index) for _ in range(4))
+        if kind == "one":
+            k = l = 0
+        elif kind == "core":
+            i = j = k = l = 0
+        elif kind == "range":
+            i, j, k, l = (draw(st.integers(-1, norb + 1)) for _ in range(4))
+        elif kind == "pattern":
+            i, j, k, l = draw(st.sampled_from([(i, j, 0, l), (i, j, k, 0), (0, j, 0, 0),
+                                               (i, 0, k, l), (0, 0, k, 0)]))
+        tokens = [draw(st.sampled_from(_VALUE_TOKENS)), *map(str, (i, j, k, l))]
+        if kind == "count":
+            tokens = draw(st.sampled_from([tokens[:4], tokens + ["1"], tokens[:1]]))
+        elif kind == "value":
+            tokens[0] = draw(st.sampled_from(_BAD_VALUE_TOKENS))
+        elif kind == "nonfinite":
+            tokens[0] = draw(st.sampled_from(_NONFINITE_TOKENS))
+        elif kind == "index":
+            tokens[draw(st.integers(1, 4))] = draw(st.sampled_from(_BAD_INDEX_TOKENS))
+        return draw(st.sampled_from([" ", "\t", "   "])).join(tokens)
+
+    lines = [line(kind) for kind in draw(st.lists(
+        st.sampled_from(["two"] * 4 + ["one"] * 2 + ["core", "blank"]), max_size=25))]
+    broken = ["range", "pattern", "count", "value", "index", "nonfinite"]
+    for kind in draw(st.lists(st.sampled_from(broken), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line(kind))
+    return f" &FCI NORB={norb},NELEC=2,\n &END\n" + "\n".join(lines) + "\n"
+
+
+@example(" &FCI NORB=1,NELEC=2,\n &END\n")
+@example(" &FCI NORB=1,NELEC=2,\n &END\n 1e999 1 1 1 1\n-inf 1 1 1 1\n0.5 1 1 1 1\n")
+@example(" &FCI NORB=1,NELEC=2,\n &END\n inf 1 1 0 0\n1e999 1 1 0 0\n0.5 1 1 0 0\n")
+@given(fcidump_bodies())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_parser_matches_the_per_line_reference(text):
+    new, old = _outcome(parse_fcidump, text), _outcome(reference_parse_fcidump, text)
+    assert new == old
+
+
+def test_tokens_outside_the_loadtxt_grammar_are_input_errors():
+    # float() and int() read these, the parser does not
+    head = " &FCI NORB=10,NELEC=2,\n &END\n"
+    for line, match in (("1_0 1 1 0 0", "line 3: non-numeric value '1_0'"),
+                        ("\u0661 1 1 0 0", "line 3: non-numeric value"),
+                        ("0.5 1_0 1 0 0", "line 3: non-integer index"),
+                        ("0.5 1 \u0661 0 0", "line 3: non-integer index")):
+        reference_parse_fcidump(head + line + "\n")
+        with pytest.raises(InputError, match=match):
+            parse_fcidump(head + line + "\n")
+
+
+def test_parse_runs_no_python_per_body_line():
+    # traced Python events (calls and lines, in every frame) do not grow
+    # with the body; the per-line reference shows that the probe sees a loop
+    def events(parse, text):
+        count = [0]
+
+        def trace(frame, event, arg):
+            count[0] += 1
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            parse(text)
+        finally:
+            sys.settrace(previous)
+        return count[0]
+
+    small = write_fcidump(random_hamiltonian(2, np.random.default_rng(0)))
+    large = write_fcidump(random_hamiltonian(8, np.random.default_rng(0)))
+    added = len(large.splitlines()) - len(small.splitlines())
+    assert added > 600
+    parse_fcidump(small)  # compiles and caches the namelist regexes
+    assert events(parse_fcidump, large) == events(parse_fcidump, small)
+    assert (events(reference_parse_fcidump, large)
+            > events(reference_parse_fcidump, small) + 10 * added)

@@ -144,7 +144,7 @@ def test_n4_passes_are_memory_bounded(rng):
     }
     bounds = {"norm_report": 1.0, "class_decomposition": 0.25,
               "from_dense": 2.0, "rotate_hamiltonian": 3.0,
-              "parse_fcidump": 5.0, "gradient": 2.5}
+              "parse_fcidump": 3.5, "gradient": 2.5}
     for name, bound in bounds.items():
         assert peaks[name] <= bound, (name, peaks[name])
 

@@ -15,7 +15,7 @@ from onenorm import (
 )
 from onenorm.errors import ConvergenceWarning, InputError
 
-from conftest import chain_path, random_aux, random_hamiltonian, requires_fixtures
+from conftest import H2_FCIDUMP, chain_path, random_aux, random_hamiltonian, requires_fixtures
 
 
 def test_config_validation():
@@ -354,8 +354,6 @@ def test_h2_sequential_quadratic_run_at_one_blas_thread():
     import subprocess
     import sys
 
-    from conftest import H2_FCIDUMP
-
     code = (
         "from onenorm import OptimizerConfig, minimize_norm, parse_fcidump\n"
         f"ham = parse_fcidump(open({H2_FCIDUMP!r}).read())\n"
@@ -400,3 +398,15 @@ def test_lost_orthogonality_ends_the_run_at_the_best_point():
     u = result.rotation.matrix
     assert np.max(np.abs(u.T @ u - np.eye(len(u)))) < 1e-10
     assert lambda_q(result.hamiltonian) == pytest.approx(result.lambda_final, rel=1e-10)
+
+
+@requires_fixtures
+def test_default_run_starts_from_the_lower_of_input_and_localized_start():
+    # H2/cc-pVDZ: ER Jacobi (112.92) is above the canonical 101.33, so the
+    # run starts from the input; on H10 the ER start (13.44) is kept
+    for path, scheme, bound in ((H2_FCIDUMP, None, 90.50), (chain_path(10), "er", 13.40)):
+        ham = parse_fcidump(open(path).read())
+        result = minimize_norm(ham, OptimizerConfig())
+        assert result.start_scheme == scheme, path
+        assert result.lambda_start <= result.lambda_initial
+        assert result.lambda_final <= bound, (path, result.lambda_final)
