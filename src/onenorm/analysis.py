@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,13 +26,9 @@ class ScalingFit:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "r_squared": self.r_squared,
-            "degenerate": self.degenerate,
-            "points": [list(p) for p in self.points],
-        }
+        """The fields, with tuples of points as lists, as JSON reads them."""
+        return {name: [list(p) for p in value] if isinstance(value, tuple) else value
+                for name, value in asdict(self).items()}
 
 
 def fit_scaling(points) -> ScalingFit:

@@ -16,11 +16,12 @@ import argparse
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import analysis, fcidump, norms, qubit_oracle
-from .errors import ConvergenceWarning, InputError, NumericalError
+from .errors import ConvergenceWarning, DataWarning, InputError, NumericalError
 from .localize import METHODS as LOCALIZE_METHODS
 from .localize import SCHEMES as LOCALIZE_SCHEMES
 from .localize import LocalizationRequest
@@ -188,25 +189,30 @@ def _cmd_freeze(args):
     return 0
 
 
-def _recording_warnings(func, *args):
-    """``func(*args)`` and the sorted messages of the warnings it raised."""
+@contextmanager
+def _recording_warnings():
+    """Record the warnings raised in the block, the reading of its inputs
+    included; yields the list their sorted messages go into."""
+    messages = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConvergenceWarning)
-        result = func(*args)
-    return result, sorted(str(w.message) for w in caught)
+        warnings.simplefilter("always", DataWarning)
+        yield messages
+    messages.extend(sorted(str(w.message) for w in caught))
 
 
 def _cmd_localize(args):
-    ham = _load_hamiltonian(args.input)
-    aux = _load_aux(args.aux)
-    request = LocalizationRequest(
-        scheme=args.scheme,
-        window=_parse_indices(args.window),
-        convergence_tol=args.tol,
-        max_sweeps=args.max_sweeps,
-        method=args.method,
-    )
-    result, caught = _recording_warnings(run_localize, ham, None, aux, request)
+    with _recording_warnings() as caught:
+        ham = _load_hamiltonian(args.input)
+        aux = _load_aux(args.aux)
+        request = LocalizationRequest(
+            scheme=args.scheme,
+            window=_parse_indices(args.window),
+            convergence_tol=args.tol,
+            max_sweeps=args.max_sweeps,
+            method=args.method,
+        )
+        result = run_localize(ham, None, aux, request)
     if args.strict and not result.converged:
         raise NumericalError(
             f"{args.scheme} localization ({args.method}) did not converge "
@@ -231,17 +237,18 @@ def _cmd_localize(args):
 
 
 def _cmd_optimize(args):
-    ham = _load_hamiltonian(args.input)
-    aux = _load_aux(args.aux)
-    start = args.start if args.start == "current" else f"localized:{args.start}"
-    config = OptimizerConfig(
-        window=_parse_indices(args.window),
-        max_iterations=args.max_iter,
-        convergence_tol=args.tol,
-        algorithm=args.algorithm,
-        start_from=start,
-    )
-    result, caught = _recording_warnings(minimize_norm, ham, config, aux)
+    with _recording_warnings() as caught:
+        ham = _load_hamiltonian(args.input)
+        aux = _load_aux(args.aux)
+        start = args.start if args.start == "current" else f"localized:{args.start}"
+        config = OptimizerConfig(
+            window=_parse_indices(args.window),
+            max_iterations=args.max_iter,
+            convergence_tol=args.tol,
+            algorithm=args.algorithm,
+            start_from=start,
+        )
+        result = minimize_norm(ham, config, aux)
     if args.strict and not result.converged:
         raise NumericalError(f"1-norm optimization did not converge: {result.stop_reason}")
     _write_result(args, result)

@@ -293,7 +293,11 @@ def _split_sections(lines: list[str]) -> dict[str, np.ndarray]:
 
 
 def parse_auxiliary(text: str) -> AuxiliaryIntegrals:
-    """Parse labeled-section auxiliary text into AuxiliaryIntegrals."""
+    """Parse labeled-section auxiliary text into AuxiliaryIntegrals.
+
+    Checks the section syntax and stacks DIPOLE_X/Y/Z; the constructor
+    checks the values.
+    """
     sections = _split_sections(text.splitlines())
     unknown = [name for name in sections if name not in _AUX_SECTIONS]
     if unknown:
@@ -303,7 +307,6 @@ def parse_auxiliary(text: str) -> AuxiliaryIntegrals:
     if present and (len(present) != 3 or len({d.shape for d in present}) != 1):
         raise InputError("DIPOLE_X, DIPOLE_Y and DIPOLE_Z must be given together "
                          "and have one shape")
-    dipole = np.stack(present) if len(present) == 3 else None
 
     def vector(name):
         arr = sections.get(name)
@@ -311,18 +314,12 @@ def parse_auxiliary(text: str) -> AuxiliaryIntegrals:
             return None
         return arr.reshape(-1)
 
-    atom_map = vector("AO_ATOM_MAP")
-    if atom_map is not None:
-        if not np.all(np.isfinite(atom_map) & (atom_map == np.round(atom_map))):
-            raise InputError("AO_ATOM_MAP entries must be integers")
-        atom_map = tuple(int(a) for a in atom_map)
-    charges = vector("ATOMIC_NUMBERS")
     return AuxiliaryIntegrals(
         ao_overlap=sections.get("OVERLAP"),
         mo_coefficients=sections.get("MO_COEFF"),
-        ao_to_atom=atom_map,
-        atomic_numbers=tuple(charges) if charges is not None else None,
-        dipole_ao=dipole,
+        ao_to_atom=vector("AO_ATOM_MAP"),
+        atomic_numbers=vector("ATOMIC_NUMBERS"),
+        dipole_ao=np.stack(present) if present else None,
     )
 
 
@@ -355,20 +352,8 @@ def read_labeled_matrix(text: str) -> np.ndarray:
 
 def write_auxiliary(aux: AuxiliaryIntegrals) -> str:
     """Serialize AuxiliaryIntegrals back to the labeled-section format."""
-    chunks = []
-    if aux.ao_overlap is not None:
-        chunks.append(write_labeled_matrix("OVERLAP", aux.ao_overlap))
-    if aux.mo_coefficients is not None:
-        chunks.append(write_labeled_matrix("MO_COEFF", aux.mo_coefficients))
-    if aux.dipole_ao is not None:
-        for k, axis in enumerate("XYZ"):
-            chunks.append(write_labeled_matrix(f"DIPOLE_{axis}", aux.dipole_ao[k]))
-    if aux.ao_to_atom is not None:
-        chunks.append(
-            write_labeled_matrix("AO_ATOM_MAP", np.array(aux.ao_to_atom, dtype=float).reshape(1, -1))
-        )
-    if aux.atomic_numbers is not None:
-        chunks.append(
-            write_labeled_matrix("ATOMIC_NUMBERS", np.array(aux.atomic_numbers).reshape(1, -1))
-        )
-    return "".join(chunks)
+    dipoles = [None] * 3 if aux.dipole_ao is None else list(aux.dipole_ao)
+    sections = zip(_AUX_SECTIONS, (aux.ao_overlap, aux.mo_coefficients, *dipoles,
+                                   aux.ao_to_atom, aux.atomic_numbers))
+    return "".join(write_labeled_matrix(name, value)  # a vector is one row
+                   for name, value in sections if value is not None)

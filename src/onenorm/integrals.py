@@ -194,10 +194,10 @@ class MolecularHamiltonian:
 class AuxiliaryIntegrals:
     """AO-basis data consumed by the localization schemes.
 
-    Every field is optional; each scheme validates what it needs.  All
-    entries must be finite, S must be non-empty and positive definite, and
-    C^T S C = I is enforced when both the overlap and the MO coefficients
-    are present.
+    Every field is optional; each scheme validates what it needs.  The
+    constructor checks, for parsed files and library callers alike, that
+    entries are finite, atom-map entries integers, S non-empty and positive
+    definite, all fields imply one AO count, and C^T S C = I given S and C.
     """
 
     ao_overlap: np.ndarray | None = None
@@ -207,10 +207,15 @@ class AuxiliaryIntegrals:
     dipole_ao: np.ndarray | None = None  # stacked (3, M, M)
 
     def __post_init__(self):
+        if self.ao_to_atom is not None:
+            atoms = np.asarray(self.ao_to_atom, dtype=float)
+            if not np.all(np.isfinite(atoms) & (atoms == np.round(atoms))):
+                raise InputError("AO_ATOM_MAP entries must be integers")
         for name in ("ao_overlap", "mo_coefficients", "dipole_ao", "atomic_numbers"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
                 raise InputError(f"{name} contains non-finite entries")
+        implied = []  # (section, the number of AOs it implies)
         s = self.ao_overlap
         if s is not None:
             s = _freeze(s)
@@ -221,48 +226,34 @@ class AuxiliaryIntegrals:
             if np.linalg.eigvalsh(s).min() <= 1e-10:
                 raise InputError("overlap not positive definite")
             object.__setattr__(self, "ao_overlap", s)
+            implied.append(("OVERLAP", s.shape[0]))
         c = self.mo_coefficients
         if c is not None:
             c = _freeze(c)
             if c.ndim != 2:
                 raise InputError("MO coefficient matrix must be 2-D")
             object.__setattr__(self, "mo_coefficients", c)
+            implied.append(("MO_COEFF", c.shape[0]))
         if self.dipole_ao is not None:
             d = _freeze(self.dipole_ao)
             if d.ndim != 3 or d.shape[0] != 3 or d.shape[1] != d.shape[2]:
                 raise InputError("dipole integrals must be stacked (3, M, M)")
-            for k in range(3):
-                if np.max(np.abs(d[k] - d[k].T), initial=0.0) > 1e-10:
-                    raise InputError("dipole matrices must be symmetric")
+            if np.max(np.abs(d - d.transpose(0, 2, 1)), initial=0.0) > 1e-10:
+                raise InputError("dipole matrices must be symmetric")
             object.__setattr__(self, "dipole_ao", d)
+            implied.append(("DIPOLE", d.shape[1]))
         if self.ao_to_atom is not None:
             object.__setattr__(self, "ao_to_atom", tuple(int(a) for a in self.ao_to_atom))
+            implied.append(("AO_ATOM_MAP", len(self.ao_to_atom)))
         if self.atomic_numbers is not None:
             object.__setattr__(
                 self, "atomic_numbers", tuple(float(z) for z in self.atomic_numbers)
             )
-        self._check_dimensions()
-
-    def _check_dimensions(self):
-        m = None
-
-        def check(name, value):
-            nonlocal m
-            if value is None:
-                return
-            if m is None:
-                m = value
-            elif value != m:
-                raise InputError(f"{name} implies {value} AOs, other sections imply {m}")
-
-        if self.ao_overlap is not None:
-            check("OVERLAP", self.ao_overlap.shape[0])
-        if self.mo_coefficients is not None:
-            check("MO_COEFF", self.mo_coefficients.shape[0])
-        if self.dipole_ao is not None:
-            check("DIPOLE", self.dipole_ao.shape[1])
+        for name, count in implied:
+            if count != implied[0][1]:
+                raise InputError(f"{name} implies {count} AOs, other sections imply "
+                                 f"{implied[0][1]}")
         if self.ao_to_atom is not None:
-            check("AO_ATOM_MAP", len(self.ao_to_atom))
             if self.atomic_numbers is not None:
                 n_atoms = len(self.atomic_numbers)
                 if self.ao_to_atom and max(self.ao_to_atom) >= n_atoms:
@@ -272,11 +263,7 @@ class AuxiliaryIntegrals:
                     )
             if any(a < 0 for a in self.ao_to_atom):
                 raise InputError("AO_ATOM_MAP entries must be non-negative")
-        if (
-            self.ao_overlap is not None
-            and self.mo_coefficients is not None
-        ):
-            s, c = self.ao_overlap, self.mo_coefficients
+        if s is not None and c is not None:
             gram = c.T @ s @ c
             err = np.max(np.abs(gram - np.eye(c.shape[1])), initial=0.0)
             if err > 1e-8:

@@ -24,7 +24,7 @@ No pass holds more than a fraction of the N^4 tensor in temporaries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -136,28 +136,14 @@ class NormReport:
     lambda_SF: float | None = None
 
     def __post_init__(self):
-        for name in ("lambda_C", "lambda_T", "lambda_V_lee", "lambda_V_prime",
-                     "lambda_Q_no_const", "lambda_Q_full", "lambda_lee"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.lambda_SF is not None and self.lambda_SF < 0.0:
-            raise ValueError("lambda_SF must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)  # lambda_SF may keep its default, None
+            if f.name.startswith("lambda_") and value is not f.default and value < 0.0:
+                raise ValueError(f"{f.name} must be non-negative")
 
     def to_dict(self) -> dict:
-        out = {
-            "n_orbitals": self.n_orbitals,
-            "lambda_C": self.lambda_C,
-            "lambda_T": self.lambda_T,
-            "lambda_V_lee": self.lambda_V_lee,
-            "lambda_V_prime": self.lambda_V_prime,
-            "lambda_Q_no_const": self.lambda_Q_no_const,
-            "lambda_Q_full": self.lambda_Q_full,
-            "lambda_lee": self.lambda_lee,
-            "class_sums": dict(self.class_sums),
-        }
-        if self.lambda_SF is not None:
-            out["lambda_SF"] = self.lambda_SF
-        return out
+        """The fields, leaving out lambda_SF when it was not computed."""
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

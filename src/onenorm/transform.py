@@ -85,8 +85,16 @@ class AntisymmetricGenerator:
 
 
 def exp_generator(generator: AntisymmetricGenerator) -> OrbitalRotation:
-    """U = exp(-K); orthogonal with unit determinant for antisymmetric K."""
-    return OrbitalRotation(expm(-generator.matrix()))
+    """U = exp(-K); orthogonal with unit determinant for antisymmetric K.
+
+    Raises NumericalError when expm's round-off leaves U further than
+    1e-10 from orthogonal, as it does at very large |K|.
+    """
+    try:
+        return OrbitalRotation(expm(-generator.matrix()))
+    except InputError as exc:
+        kmax = np.max(np.abs(generator.params), initial=0.0)
+        raise NumericalError(f"exp(-K) lost orthogonality at max|K| = {kmax:.3g}: {exc}") from None
 
 
 def transform_one_body(h: np.ndarray, coeff: np.ndarray) -> np.ndarray:

@@ -85,6 +85,8 @@ def test_aggregate_report_errors(rng):
         aggregate_report([("x", report)], baseline="y")
     with pytest.raises(InputError, match="aggregate"):
         aggregate_report([], baseline="x")
+    with pytest.raises(InputError, match="entry 'y' is not a NormReport"):
+        aggregate_report([("x", report), ("y", report.to_dict())], baseline="x")
 
 
 def test_report_csv_columns(rng):

@@ -557,6 +557,21 @@ def test_convergence_warnings_are_reported_in_the_json(capsys):
     ]
 
 
+@requires_fixtures
+def test_warnings_while_reading_the_inputs_are_reported_in_the_json(capsys, tmp_path):
+    # the first body line repeated at value + 1: a conflicting duplicate
+    lines = open(chain_path(4)).read().splitlines(keepends=True)
+    value, indices = lines[4].split(" ", 1)
+    lines.insert(5, f"{float(value) + 1.0!r} {indices}")
+    path = tmp_path / "duplicate.fcidump"
+    path.write_text("".join(lines))
+    message = f"line 6: conflicting duplicate for g[1,1,1,1] ({value} -> {float(value) + 1.0!r})"
+    for argv in (["localize", "--scheme", "er"], ["optimize", "--start", "current"]):
+        code, out, err = invoke(capsys, *argv, str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["warnings"] == [message]
+
+
 _TOKENS = st.sampled_from(
     ["0", "1", "2", "-1", "0.5", "1.0", "nan", "inf", "-inf", "1e400", "x", ""]
 )

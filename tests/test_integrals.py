@@ -153,6 +153,20 @@ def test_hamiltonian_validation_errors():
             one_body=np.zeros((2, 2)),
             two_body=np.zeros((2, 2, 2)),
         )
+    with pytest.raises(InputError, match=r"one-body tensor shape \(2, 3\)"):
+        MolecularHamiltonian(
+            n_orbitals=2,
+            core_constant=0.0,
+            one_body=np.zeros((2, 3)),
+            two_body=np.zeros((2,) * 4),
+        )
+    with pytest.raises(InputError, match="core constant is not finite"):
+        MolecularHamiltonian(
+            n_orbitals=1,
+            core_constant=np.inf,
+            one_body=np.zeros((1, 1)),
+            two_body=np.zeros((1, 1, 1, 1)),
+        )
     roundoff = np.zeros((2,) * 4)
     roundoff[1, 0, 0, 0] = roundoff[0, 1, 0, 0] = roundoff[0, 0, 1, 0] = 0.5
     roundoff[0, 0, 0, 1] = np.nextafter(0.5, 1.0)  # within SYMMETRY_TOL
@@ -308,11 +322,15 @@ def test_active_space_spec_validation():
         ActiveSpaceSpec(frozen=(), active=(0, 1), n_active_electrons=3).validate(2)
     with pytest.raises(InputError, match="electrons"):
         ActiveSpaceSpec(frozen=(), active=(0,), n_active_electrons=4).validate(1)
+    with pytest.raises(InputError, match="negative active electron count"):
+        ActiveSpaceSpec(frozen=(), active=(0,), n_active_electrons=-2).validate(1)
 
 
 def test_auxiliary_overlap_must_be_positive_definite():
     with pytest.raises(InputError, match="positive definite"):
         AuxiliaryIntegrals(ao_overlap=np.diag([1.0, -0.1]))
+    with pytest.raises(InputError, match="overlap matrix is not symmetric"):
+        AuxiliaryIntegrals(ao_overlap=np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 def test_auxiliary_orthonormality_enforced():
@@ -328,3 +346,21 @@ def test_auxiliary_dimension_cross_checks():
         AuxiliaryIntegrals(ao_overlap=np.eye(2), ao_to_atom=[0, 0, 1])
     with pytest.raises(InputError, match="atom"):
         AuxiliaryIntegrals(ao_to_atom=[0, 3], atomic_numbers=[1.0, 1.0])
+    with pytest.raises(InputError, match="non-negative"):
+        AuxiliaryIntegrals(ao_to_atom=[-1, 0], atomic_numbers=[1.0, 1.0])
+    with pytest.raises(InputError, match="must be 2-D"):
+        AuxiliaryIntegrals(mo_coefficients=np.ones(2))
+    with pytest.raises(InputError, match=r"stacked \(3, M, M\)"):
+        AuxiliaryIntegrals(dipole_ao=np.zeros((2, 2, 2)))
+    dipoles = np.zeros((3, 2, 2))
+    dipoles[2, 0, 1] = 0.1
+    with pytest.raises(InputError, match="dipole matrices must be symmetric"):
+        AuxiliaryIntegrals(dipole_ao=dipoles)
+
+
+@pytest.mark.parametrize("atoms", [[0.5, 1.7], [float("nan")], [0, np.inf]])
+def test_auxiliary_atom_map_entries_are_integers(atoms):
+    # the rule holds for library callers as it does for parsed files
+    with pytest.raises(InputError, match="AO_ATOM_MAP entries must be integers"):
+        AuxiliaryIntegrals(ao_to_atom=atoms)
+    assert AuxiliaryIntegrals(ao_to_atom=[0.0, 1.0]).ao_to_atom == (0, 1)

@@ -267,6 +267,8 @@ def test_fb_scheme_missing_aux_errors(rng):
     with pytest.raises(InputError, match="DIPOLE"):
         localize(ham, None, AuxiliaryIntegrals(ao_overlap=np.eye(3)),
                  LocalizationRequest(scheme="fb"))
+    with pytest.raises(InputError, match="scheme needs AO data"):
+        localize(ham, None, None, LocalizationRequest(scheme="pm"))
 
 
 def test_nonconvergence_warns_and_flags(rng):

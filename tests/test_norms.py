@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,10 @@ def test_norm_report_consistency(rng):
     )
     assert report.n_orbitals == 4
     assert report.lambda_SF is None
+    assert "lambda_SF" not in report.to_dict()
+    for name in ("lambda_C", "lambda_lee", "lambda_SF"):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            dataclasses.replace(report, **{name: -1.0})
 
 
 def test_norm_report_json_roundtrip(rng):

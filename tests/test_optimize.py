@@ -1,10 +1,12 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from onenorm import (
     LocalizationRequest,
+    MolecularHamiltonian,
     OptimizerConfig,
     lambda_q,
     localize,
@@ -13,7 +15,7 @@ from onenorm import (
     parse_fcidump,
     rotate_hamiltonian,
 )
-from onenorm.errors import ConvergenceWarning, InputError
+from onenorm.errors import ConvergenceWarning, InputError, NumericalError
 
 from conftest import H2_FCIDUMP, chain_path, random_aux, random_hamiltonian, requires_fixtures
 
@@ -62,6 +64,11 @@ def test_objective_wrong_length(rng):
     ham = random_hamiltonian(3, rng)
     with pytest.raises(InputError, match="length"):
         objective(ham, np.zeros(2), window=(0, 1))
+    with pytest.raises(NumericalError, match="non-finite rotation parameters"):
+        objective(ham, [np.nan], window=(0, 1))
+    huge = MolecularHamiltonian.from_dense(0.0, np.full((2, 2), 1e308), np.zeros((2,) * 4))
+    with pytest.raises(NumericalError, match="non-finite value"):
+        objective(huge, np.zeros(1))
 
 
 def test_objective_checks_its_window(rng):
@@ -82,6 +89,16 @@ def test_objective_half_rotation_composition(rng):
     assert lambda_q(twice) == pytest.approx(objective(ham, kvec), abs=1e-9)
 
 
+def minimize_warning_iff_unconverged(ham, config):
+    """``minimize_norm``, which must raise one ConvergenceWarning exactly
+    when it did not converge, and no other warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = minimize_norm(ham, config)
+    assert [w.category for w in caught] == ([] if result.converged else [ConvergenceWarning])
+    return result
+
+
 def test_minimizer_never_regresses(rng):
     for algorithm in ("quasi-newton-bounded", "sequential-quadratic"):
         for _ in range(5):
@@ -90,9 +107,12 @@ def test_minimizer_never_regresses(rng):
             config = OptimizerConfig(
                 start_from="current", algorithm=algorithm, max_iterations=40,
             )
-            result = minimize_norm(ham, config)
+            result = minimize_warning_iff_unconverged(ham, config)
             assert result.lambda_final <= result.lambda_start + 1e-9
             assert result.lambda_start == pytest.approx(lambda_q(ham), abs=1e-12)
+    zero = MolecularHamiltonian.from_dense(0.0, np.zeros((2, 2)), np.zeros((2,) * 4))
+    result = minimize_warning_iff_unconverged(zero, OptimizerConfig(start_from="current"))
+    assert result.lambda_initial == result.lambda_final == result.reduction_percent == 0.0
 
 
 def test_minimizer_beats_er_start(rng):
@@ -316,7 +336,7 @@ def test_max_iterations_caps_the_whole_run(algorithm):
     ham = parse_fcidump(open(chain_path(6)).read())
     for cap in (0, 1, 5):
         config = OptimizerConfig(algorithm=algorithm, max_iterations=cap)
-        assert len(minimize_norm(ham, config).trace) <= cap
+        assert len(minimize_warning_iff_unconverged(ham, config).trace) <= cap
 
 
 @requires_fixtures

@@ -213,6 +213,10 @@ def test_determinant_expectation_validation():
         determinant_expectation(ts, [1])
     with pytest.raises(InputError, match="0 or 1"):
         determinant_expectation(ts, [2, 0])
+    with pytest.raises(InputError, match="invalid Pauli letter 'Q'"):
+        string_to_word("ZQ")
+    with pytest.raises(InputError, match="term 'Z' has length 1, expected 2"):
+        PauliTermSum(n_qubits=2, terms={"Z": 1.0})
 
 
 def test_sparsity_zero_hamiltonian():

@@ -68,11 +68,19 @@ def test_generator_validation():
         AntisymmetricGenerator(dim=2, params=[np.inf])
 
 
+def test_exp_of_a_huge_generator_is_a_numerical_error():
+    # finite, valid K whose exp is not orthogonal to 1e-10 in floating point
+    with pytest.raises(NumericalError, match=r"exp\(-K\) lost orthogonality at max\|K\| = 1e\+07"):
+        exp_generator(AntisymmetricGenerator(dim=2, params=[1e7]))
+
+
 def test_orbital_rotation_validation():
     with pytest.raises(InputError, match="orthogonal"):
         OrbitalRotation(np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(InputError, match="orthogonal"):
         OrbitalRotation(np.full((2, 2), np.nan))
+    with pytest.raises(InputError, match="square"):
+        OrbitalRotation(np.eye(3)[:, :2])
 
 
 def test_transform_one_body_identity_and_permutation(rng):
@@ -83,6 +91,10 @@ def test_transform_one_body_identity_and_permutation(rng):
     permuted = transform_one_body(h, perm)
     order = [1, 0, 2, 3]
     assert np.array_equal(permuted, h[np.ix_(order, order)])
+    with pytest.raises(InputError, match="square"):
+        transform_one_body(h[:3], np.eye(4))
+    with pytest.raises(InputError, match="incompatible"):
+        transform_one_body(h, np.eye(3))
 
 
 def test_transform_one_body_matches_double_loop(rng):
@@ -147,6 +159,8 @@ def test_transform_two_body_rectangular_coefficients(rng):
     assert np.max(np.abs(reduced - naive)) < 1e-12
     h_reduced = transform_one_body(ham.one_body, c)
     assert h_reduced.shape == (2, 2)
+    with pytest.raises(InputError, match="incompatible"):
+        transform_two_body(g, c.T)
 
 
 def staged_einsum_transform(g, c):
@@ -178,6 +192,8 @@ def test_transform_composition(rng):
 def test_rotate_hamiltonian_identity(rng):
     ham = random_hamiltonian(3, rng)
     assert rotate_hamiltonian(ham, OrbitalRotation.identity(3)) is ham
+    with pytest.raises(InputError, match="rotation dimension 2 != 3"):
+        rotate_hamiltonian(ham, OrbitalRotation.identity(2))
     near = rotate_hamiltonian(ham, givens_rotation(3, 0, 1, 1e-9))
     assert near is not ham and near.allclose(ham, tol=1e-8)
 
@@ -327,6 +343,10 @@ def test_active_space_around_fermi():
 
 def test_lowdin_identity():
     assert np.array_equal(lowdin_orthogonalize(np.eye(3)), np.eye(3))
+    with pytest.raises(InputError, match="square"):
+        lowdin_orthogonalize(np.eye(3)[:2])
+    with pytest.raises(InputError, match="symmetric"):
+        lowdin_orthogonalize(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 def test_lowdin_two_by_two_closed_form():
