@@ -29,6 +29,7 @@ from onenorm import (
     parse_auxiliary,
     parse_fcidump,
 )
+from onenorm.localize import METHODS
 
 
 def size_from_name(path, ham):
@@ -50,7 +51,7 @@ def main():
     parser.add_argument("fcidumps", nargs="+")
     parser.add_argument("--localize", default=None,
                         help="also fit this scheme's localized basis (er/fb/pm)")
-    parser.add_argument("--method", default="jacobi", choices=["jacobi", "ascent"])
+    parser.add_argument("--method", default="jacobi", choices=METHODS)
     parser.add_argument("--size-from", default="name", choices=["name", "orbitals"],
                         help="system size: first integer in the filename, or N")
     parser.add_argument("--csv", help="write the per-system values here")

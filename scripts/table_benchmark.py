@@ -14,6 +14,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import warnings
 
@@ -26,7 +27,8 @@ from onenorm import (
     parse_auxiliary,
     parse_fcidump,
 )
-from onenorm.analysis import aggregate_report, report_rows_to_csv, report_rows_to_json
+from onenorm.analysis import aggregate_report, report_rows_to_csv
+from onenorm.localize import METHODS
 
 
 def main():
@@ -35,7 +37,7 @@ def main():
     parser.add_argument("--aux", help="auxiliary file (needed for fb/pm/oao)")
     parser.add_argument("--schemes", default="er",
                         help="comma list from {er,fb,pm,oao}")
-    parser.add_argument("--method", default="jacobi", choices=["jacobi", "ascent"])
+    parser.add_argument("--method", default="jacobi", choices=METHODS)
     parser.add_argument("--optimize", action="store_true",
                         help="also run the direct optimizer from the ER basis")
     parser.add_argument("--algorithm", default="sequential-quadratic")
@@ -75,7 +77,7 @@ def main():
               f"gradients={opt.n_gradient_calls}", file=sys.stderr)
 
     rows = aggregate_report(entries, baseline="cmo")
-    print(report_rows_to_json(rows, indent=2))
+    print(json.dumps(rows, indent=2, sort_keys=True))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(report_rows_to_csv(rows))

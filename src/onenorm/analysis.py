@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,27 +46,18 @@ def fit_scaling(points) -> ScalingFit:
     log_l = np.log([lam for _, lam in pts])
     if np.ptp(log_n) == 0.0:
         raise InputError("all points share the same N; slope is undefined")
-    if np.ptp(log_l) == 0.0:
-        return ScalingFit(
-            alpha=0.0,
-            beta=float(log_l[0]),
-            r_squared=1.0,
-            points=tuple(pts),
-            degenerate=True,
-        )
-    n_centered = log_n - log_n.mean()
-    alpha = float(n_centered @ (log_l - log_l.mean()) / (n_centered @ n_centered))
-    beta = float(log_l.mean() - alpha * log_n.mean())
-    residuals = log_l - (alpha * log_n + beta)
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(((log_l - log_l.mean()) ** 2).sum())
-    return ScalingFit(
-        alpha=alpha,
-        beta=beta,
-        r_squared=1.0 - ss_res / ss_tot,
-        points=tuple(pts),
-        degenerate=False,
-    )
+    degenerate = bool(np.ptp(log_l) == 0.0)
+    if degenerate:
+        alpha, beta, r_squared = 0.0, float(log_l[0]), 1.0
+    else:
+        n_centered = log_n - log_n.mean()
+        alpha = float(n_centered @ (log_l - log_l.mean()) / (n_centered @ n_centered))
+        beta = float(log_l.mean() - alpha * log_n.mean())
+        residuals = log_l - (alpha * log_n + beta)
+        ss_res = float(residuals @ residuals)
+        ss_tot = float(((log_l - log_l.mean()) ** 2).sum())
+        r_squared = 1.0 - ss_res / ss_tot
+    return ScalingFit(alpha, beta, r_squared, tuple(pts), degenerate)
 
 
 REPORT_COLUMNS = ("label", "lambda_C", "lambda_T", "lambda_V_prime", "lambda_Q", "reduction_pct")
@@ -94,16 +84,8 @@ def aggregate_report(entries, baseline: str):
             raise InputError(f"entry {label!r} is not a NormReport")
         lam = report.lambda_Q_no_const
         reduction = 0.0 if base == 0.0 else 100.0 * (1.0 - lam / base)
-        rows.append(
-            {
-                "label": label,
-                "lambda_C": report.lambda_C,
-                "lambda_T": report.lambda_T,
-                "lambda_V_prime": report.lambda_V_prime,
-                "lambda_Q": lam,
-                "reduction_pct": reduction,
-            }
-        )
+        values = (label, report.lambda_C, report.lambda_T, report.lambda_V_prime, lam, reduction)
+        rows.append(dict(zip(REPORT_COLUMNS, values)))
     return rows
 
 
@@ -114,7 +96,3 @@ def report_rows_to_csv(rows) -> str:
     for row in rows:
         writer.writerow({key: row[key] for key in REPORT_COLUMNS})
     return buffer.getvalue()
-
-
-def report_rows_to_json(rows, indent=None) -> str:
-    return json.dumps(rows, indent=indent, sort_keys=True)

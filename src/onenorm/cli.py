@@ -104,7 +104,7 @@ def _parse_indices(text: str | None):
         raise InputError(f"expected a comma/space separated index list, got {text!r}") from None
 
 
-def _norms_payload(ham, with_cholesky=False, tolerance=1e-8):
+def _norms_payload(ham, with_cholesky=False, tolerance=norms.CHOLESKY_TOL):
     return norms.norm_report(
         ham, with_cholesky=with_cholesky, cholesky_tolerance=tolerance
     ).to_dict()
@@ -282,7 +282,7 @@ def _cmd_oracle_check(args):
     ham = _load_hamiltonian(args.input)
     term_sum = qubit_oracle.jordan_wigner_expand(ham)
     formula = norms.lambda_q(ham)
-    oracle = qubit_oracle.lambda_q_oracle(term_sum, include_identity=False)
+    oracle = qubit_oracle.lambda_q_oracle(term_sum)
     _emit(
         args,
         {
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="all 1-norm variants of a Hamiltonian")
     p.add_argument("input")
     p.add_argument("--cholesky", action="store_true", help="include lambda_SF")
-    p.add_argument("--cholesky-tol", type=float, default=1e-8)
+    p.add_argument("--cholesky-tol", type=float, default=norms.CHOLESKY_TOL)
     common(p)
     p.set_defaults(func=_cmd_norm)
 
@@ -378,32 +378,34 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_freeze)
 
+    request = LocalizationRequest(scheme="er")  # the defaults of every other field
     p = sub.add_parser("localize", help="orbital localization")
     p.add_argument("input")
     p.add_argument("--scheme", required=True, choices=list(LOCALIZE_SCHEMES))
-    p.add_argument("--method", default="jacobi", choices=list(LOCALIZE_METHODS),
-                   help="maximizer for the MO schemes (default: jacobi)")
+    p.add_argument("--method", default=request.method, choices=list(LOCALIZE_METHODS),
+                   help="maximizer for the MO schemes (default: %(default)s)")
     p.add_argument("--aux", help="auxiliary labeled-matrix file")
     p.add_argument("--window", default=None, help="comma list of orbitals to mix")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-sweeps", type=int, default=200,
-                   help="cap on Jacobi sweeps or ascent iterations (default: 200)")
+    p.add_argument("--tol", type=float, default=request.convergence_tol)
+    p.add_argument("--max-sweeps", type=int, default=request.max_sweeps,
+                   help="cap on Jacobi sweeps or ascent iterations (default: %(default)s)")
     p.add_argument("--rotation-out", help="write the rotation matrix here")
     p.add_argument("-o", "--output", help="write localized FCIDUMP here")
     common(p)
     p.set_defaults(func=_cmd_localize)
 
+    config = OptimizerConfig()
     p = sub.add_parser("optimize", help="minimize lambda_Q over orbital rotations")
     p.add_argument("input")
-    p.add_argument("--start", default="er",
-                   choices=["current", "er", "pm", "fb", "oao"],
-                   help="starting basis (default: ER-localized)")
+    p.add_argument("--start", default=config.start_scheme(),
+                   choices=["current", *LOCALIZE_SCHEMES],
+                   help="starting basis (default: %(default)s-localized)")
     p.add_argument("--window", default=None)
-    p.add_argument("--max-iter", type=int, default=600,
+    p.add_argument("--max-iter", type=int, default=config.max_iterations,
                    help="cap on the solver's iterations over the whole run; "
-                        "0 returns the start (default: 600)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--algorithm", default="quasi-newton-bounded",
+                        "0 returns the start (default: %(default)s)")
+    p.add_argument("--tol", type=float, default=config.convergence_tol)
+    p.add_argument("--algorithm", default=config.algorithm,
                    choices=list(OPTIMIZER_ALGORITHMS))
     p.add_argument("--aux", help="auxiliary file (needed by pm/fb/oao starts)")
     p.add_argument("--trace-out", help="write the per-iteration CSV trace here")

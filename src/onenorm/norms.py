@@ -23,7 +23,6 @@ No pass holds more than a fraction of the N^4 tensor in temporaries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -48,6 +47,8 @@ __all__ = [
     "v_prime_quarter",
 ]
 
+CHOLESKY_TOL = 1e-8  # default stopping diagonal of cholesky_decompose
+
 
 def _abs_sum(values) -> float:
     """Sum of |values| in extended precision, over blocks of leading rows."""
@@ -56,20 +57,9 @@ def _abs_sum(values) -> float:
     return float(sum(np.sum(np.abs(values[b]), dtype=np.longdouble) for b in blocks))
 
 
-def _lambda_c(h, g) -> float:
-    trace_h = np.sum(np.diagonal(h), dtype=np.longdouble)
-    coulomb = np.sum(np.einsum("pprr->pr", g), dtype=np.longdouble)
-    exchange = np.sum(np.einsum("prrp->pr", g), dtype=np.longdouble)
-    return float(abs(trace_h + 0.5 * coulomb - 0.25 * exchange))
-
-
 def t_matrix(h, g) -> np.ndarray:
     """t_pq = h_pq + sum_r g_pqrr - 1/2 sum_r g_prrq, whose |.| sum is lambda_T."""
     return h + np.einsum("pqrr->pq", g) - 0.5 * np.einsum("prrq->pq", g)
-
-
-def _lambda_t(h, g) -> float:
-    return _abs_sum(t_matrix(h, g))
 
 
 def v_prime_quarter(g):
@@ -96,12 +86,16 @@ def _lambda_v_prime(g, abs_sum_g=None) -> float:
 
 def lambda_c(ham: MolecularHamiltonian) -> float:
     """Identity-term coefficient magnitude (core constant excluded)."""
-    return _lambda_c(ham.one_body, ham.two_body_dense())
+    g = ham.two_body_dense()
+    trace_h = np.sum(np.diagonal(ham.one_body), dtype=np.longdouble)
+    coulomb = np.sum(np.einsum("pprr->pr", g), dtype=np.longdouble)
+    exchange = np.sum(np.einsum("prrp->pr", g), dtype=np.longdouble)
+    return float(abs(trace_h + 0.5 * coulomb - 0.25 * exchange))
 
 
 def lambda_t(ham: MolecularHamiltonian) -> float:
     """1-norm of the quadratic Majorana coefficients."""
-    return _lambda_t(ham.one_body, ham.two_body_dense())
+    return _abs_sum(t_matrix(ham.one_body, ham.two_body_dense()))
 
 
 def lambda_v_lee(ham: MolecularHamiltonian) -> float:
@@ -116,8 +110,7 @@ def lambda_v_prime(ham: MolecularHamiltonian) -> float:
 
 def lambda_q(ham: MolecularHamiltonian) -> float:
     """Pauli 1-norm lambda_T + lambda_V', the identity term left out."""
-    g = ham.two_body_dense()
-    return _lambda_t(ham.one_body, g) + _lambda_v_prime(g)
+    return lambda_t(ham) + _lambda_v_prime(ham.two_body_dense())
 
 
 @dataclass(frozen=True)
@@ -145,20 +138,17 @@ class NormReport:
         """The fields, leaving out lambda_SF when it was not computed."""
         return {name: value for name, value in asdict(self).items() if value is not None}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def norm_report(
     ham: MolecularHamiltonian,
     with_cholesky: bool = False,
-    cholesky_tolerance: float = 1e-8,
+    cholesky_tolerance: float = CHOLESKY_TOL,
 ) -> NormReport:
     """Compute all norm variants; sum |g| is taken once and shared."""
     _check_cholesky_tolerance(cholesky_tolerance)
     g = ham.two_body_dense()
-    lc = _lambda_c(ham.one_body, g)
-    lt = _lambda_t(ham.one_body, g)
+    lc = lambda_c(ham)
+    lt = lambda_t(ham)
     abs_sum_g = _abs_sum(g)
     lv = 0.5 * abs_sum_g
     lvp = _lambda_v_prime(g, abs_sum_g)
@@ -207,7 +197,7 @@ def _check_cholesky_tolerance(tolerance):
 
 
 def cholesky_decompose(
-    ham: MolecularHamiltonian, tolerance: float = 1e-8
+    ham: MolecularHamiltonian, tolerance: float = CHOLESKY_TOL
 ) -> CholeskyFactorization:
     """Diagonal-pivoted Cholesky of the two-electron tensor.
 

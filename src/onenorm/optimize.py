@@ -22,7 +22,7 @@ from scipy.optimize import minimize as scipy_minimize
 from .errors import ConvergenceWarning, InputError, NumericalError
 from .integrals import AuxiliaryIntegrals, MolecularHamiltonian
 from .localize import (
-    SCHEMES, LocalizationRequest, check_limits, check_window, localize, resolve_window,
+    METHODS, SCHEMES, LocalizationRequest, check_limits, check_window, localize, resolve_window,
 )
 from .norms import lambda_q, t_matrix, v_prime_quarter
 from .transform import AntisymmetricGenerator, OrbitalRotation, exp_generator, rotate_hamiltonian
@@ -56,6 +56,9 @@ class OptimizerConfig:
                              f"got {self.algorithm!r}")
         if self.start_from not in _STARTS:
             raise InputError(f"start_from must be one of {_STARTS}, got {self.start_from!r}")
+        if self.localization_method not in METHODS:
+            raise InputError(f"localization_method must be one of {METHODS}, "
+                             f"got {self.localization_method!r}")
         object.__setattr__(self, "window", check_window(self.window))
         check_limits("max_iterations", self.max_iterations, self.convergence_tol)
 
@@ -100,18 +103,13 @@ class OptimizationResult:
 
 def _window_rotation(n, window, kvec) -> OrbitalRotation:
     """exp(-K) on the window orbitals, identity elsewhere (exactly)."""
-    w = len(window)
     kvec = np.asarray(kvec, dtype=float)
-    if kvec.shape != (w * (w - 1) // 2,):
-        raise InputError(
-            f"parameter vector must have length {w * (w - 1) // 2} for a "
-            f"{w}-orbital window, got {kvec.shape}"
-        )
-    if not np.isfinite(kvec).all():
+    if not np.isfinite(kvec).all():  # checked first: a NaN trial point is not an input error
         raise NumericalError("non-finite rotation parameters")
+    generator = AntisymmetricGenerator(dim=len(window), params=kvec)
     if not np.any(kvec):
         return OrbitalRotation.identity(n)
-    block = exp_generator(AntisymmetricGenerator(dim=w, params=kvec)).matrix
+    block = exp_generator(generator).matrix
     full = np.eye(n)
     full[np.ix_(window, window)] = block
     return OrbitalRotation(full)

@@ -181,8 +181,9 @@ def jordan_wigner_expand(ham: MolecularHamiltonian) -> PauliTermSum:
                             )
 
     terms: dict[str, float] = {}
+    imag_tol = 1e-12 * max(1.0, max((abs(c) for c in acc.values()), default=0.0))
     for (x, z), coeff in acc.items():
-        if abs(coeff.imag) > 1e-12:
+        if abs(coeff.imag) > imag_tol:  # round-off grows with the coefficients
             raise InputError(
                 f"non-real Pauli coefficient {coeff!r}; Hamiltonian not Hermitian"
             )
@@ -192,24 +193,23 @@ def jordan_wigner_expand(ham: MolecularHamiltonian) -> PauliTermSum:
     return PauliTermSum(n_qubits=n_qubits, terms=terms)
 
 
-def lambda_q_oracle(term_sum: PauliTermSum, include_identity: bool = False) -> float:
-    """1-norm of the Pauli coefficients, identity term optional."""
+def lambda_q_oracle(term_sum: PauliTermSum) -> float:
+    """1-norm of the Pauli coefficients, the identity term left out."""
     identity = "I" * term_sum.n_qubits
     total = np.longdouble(0.0)
     for word, coeff in term_sum.terms.items():
-        if word == identity and not include_identity:
-            continue
-        total += abs(np.longdouble(coeff))
+        if word != identity:
+            total += abs(np.longdouble(coeff))
     return float(total)
 
 
-def sparsity_count(term_sum: PauliTermSum, threshold: float = 1e-12) -> int:
-    """Number of non-identity terms with |coefficient| above threshold."""
+def sparsity_count(term_sum: PauliTermSum) -> int:
+    """Number of non-identity terms with |coefficient| above 1e-12."""
     identity = "I" * term_sum.n_qubits
     return sum(
         1
         for word, coeff in term_sum.terms.items()
-        if word != identity and abs(coeff) > threshold
+        if word != identity and abs(coeff) > 1e-12
     )
 
 

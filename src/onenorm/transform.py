@@ -69,7 +69,7 @@ class AntisymmetricGenerator:
         if params.size != expected:
             raise InputError(
                 f"generator for dimension {self.dim} needs {expected} parameters, "
-                f"got {params.size}"
+                f"got a vector of length {params.size}"
             )
         if not np.isfinite(params).all():
             raise InputError("generator parameters must be finite")
@@ -180,22 +180,17 @@ def freeze_core(
     h = ham.one_body
     g = ham.two_body_dense()
 
-    if frozen:
-        g_ff = g[np.ix_(frozen, frozen, frozen, frozen)]
-        shift = float(
-            2.0 * np.sum(h[frozen, frozen], dtype=np.longdouble)
-            + np.sum(
-                2.0 * np.einsum("iijj->ij", g_ff) - np.einsum("ijji->ij", g_ff),
-                dtype=np.longdouble,
-            )
+    g_ff = g[np.ix_(frozen, frozen, frozen, frozen)]
+    shift = float(
+        2.0 * np.sum(h[frozen, frozen], dtype=np.longdouble)
+        + np.sum(
+            2.0 * np.einsum("iijj->ij", g_ff) - np.einsum("ijji->ij", g_ff),
+            dtype=np.longdouble,
         )
-        potential = 2.0 * np.einsum(
-            "tuii->tu", g[np.ix_(active, active, frozen, frozen)]
-        ) - np.einsum("tiiu->tu", g[np.ix_(active, frozen, frozen, active)])
-    else:
-        shift = 0.0
-        potential = np.zeros((len(active), len(active)))
-
+    )
+    potential = 2.0 * np.einsum(
+        "tuii->tu", g[np.ix_(active, active, frozen, frozen)]
+    ) - np.einsum("tiiu->tu", g[np.ix_(active, frozen, frozen, active)])
     h_active = h[np.ix_(active, active)] + potential
     g_active = g[np.ix_(active, active, active, active)]
     active_ham = MolecularHamiltonian.from_dense(

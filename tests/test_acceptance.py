@@ -38,7 +38,7 @@ def test_criterion_01_oracle_equivalence():
         n = int(rng.integers(1, 5))
         ham = random_hamiltonian(n, rng)
         formula = on.lambda_t(ham) + on.lambda_v_prime(ham)
-        oracle = on.lambda_q_oracle(on.jordan_wigner_expand(ham), include_identity=False)
+        oracle = on.lambda_q_oracle(on.jordan_wigner_expand(ham))
         worst = max(worst, abs(formula - oracle))
         assert abs(formula - oracle) <= 1e-9
     report(1, f"200 instances, worst |formula - oracle| = {worst:.3e}")

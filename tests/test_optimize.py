@@ -25,6 +25,8 @@ def test_config_validation():
         OptimizerConfig(algorithm="adam")
     with pytest.raises(InputError, match="start_from"):
         OptimizerConfig(start_from="somewhere")
+    with pytest.raises(InputError, match="localization_method"):
+        OptimizerConfig(localization_method="bogus", start_from="current")
     assert OptimizerConfig(algorithm="sequential-quadratic").scipy_method == "SLSQP"
     assert OptimizerConfig().start_scheme() == "er"
     assert OptimizerConfig(start_from="current").start_scheme() is None

@@ -10,6 +10,7 @@ from onenorm import (
     determinant_expectation,
     jordan_wigner_expand,
     lambda_c,
+    lambda_q,
     lambda_q_oracle,
     lambda_t,
     lambda_v_prime,
@@ -92,7 +93,7 @@ def test_lambda_q_oracle_single_orbital():
     )
     term_sum = jordan_wigner_expand(ham)
     assert lambda_q_oracle(term_sum) == pytest.approx(1.0, abs=1e-15)
-    assert lambda_q_oracle(term_sum, include_identity=True) == pytest.approx(2.0, abs=1e-15)
+    assert abs(term_sum.identity_coefficient) == pytest.approx(1.0, abs=1e-15)
     assert sparsity_count(term_sum) == 2
 
 
@@ -104,12 +105,22 @@ def test_oracle_matches_formula(rng):
         formula = lambda_t(ham) + lambda_v_prime(ham)
         assert lambda_q_oracle(term_sum) == pytest.approx(formula, abs=1e-9)
         with_identity = lambda_c(ham) + formula
-        assert lambda_q_oracle(term_sum, include_identity=True) == pytest.approx(
+        assert lambda_q_oracle(term_sum) + abs(term_sum.identity_coefficient) == pytest.approx(
             with_identity, abs=1e-9
         )
         assert abs(term_sum.identity_coefficient) == pytest.approx(
             lambda_c(ham), abs=1e-9
         )
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_oracle_judges_imaginary_round_off_against_the_largest_coefficient(scale):
+    for seed in range(3):
+        ham = random_hamiltonian(3, np.random.default_rng(seed), scale=scale)
+        term_sum = jordan_wigner_expand(ham)
+        assert lambda_q_oracle(term_sum) == pytest.approx(lambda_q(ham), rel=1e-12)
+        unscaled = jordan_wigner_expand(random_hamiltonian(3, np.random.default_rng(seed)))
+        assert sparsity_count(term_sum) == sparsity_count(unscaled)
 
 
 def test_all_coefficients_real_and_pruned(rng):
