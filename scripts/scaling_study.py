@@ -29,6 +29,7 @@ from onenorm import (
     parse_auxiliary,
     parse_fcidump,
 )
+from onenorm.analysis import to_csv
 from onenorm.localize import METHODS
 
 
@@ -80,13 +81,9 @@ def main():
     print(json.dumps(payload, indent=2, sort_keys=True))
 
     if args.csv:
+        columns = ["size", "lambda_cmo"] + (["lambda_localized"] if args.localize else [])
         with open(args.csv, "w", encoding="utf-8") as handle:
-            columns = ["size", "lambda_cmo"] + (
-                ["lambda_localized"] if args.localize else []
-            )
-            handle.write(",".join(columns) + "\n")
-            for row in rows:
-                handle.write(",".join(repr(row[c]) for c in columns) + "\n")
+            handle.write(to_csv(columns, ([row[c] for c in columns] for row in rows)))
 
 
 if __name__ == "__main__":

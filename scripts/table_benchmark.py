@@ -8,7 +8,10 @@ against the CMO baseline.
 Example:
   python scripts/table_benchmark.py fixtures/h2_ccpvdz_cmo.fcidump \
       --aux fixtures/h2_ccpvdz_aux.txt --schemes er,fb,pm,oao \
-      --method ascent --optimize --csv out.csv
+      --optimize --csv out.csv
+
+``--method ascent`` applies to er (and oao, which ignores it); fb and pm
+take the default ``jacobi``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from onenorm import (
     parse_auxiliary,
     parse_fcidump,
 )
-from onenorm.analysis import aggregate_report, report_rows_to_csv
+from onenorm.analysis import REPORT_COLUMNS, aggregate_report, to_csv
 from onenorm.localize import METHODS
 
 
@@ -80,7 +83,7 @@ def main():
     print(json.dumps(rows, indent=2, sort_keys=True))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(report_rows_to_csv(rows))
+            handle.write(to_csv(REPORT_COLUMNS, (row.values() for row in rows)))
 
 
 if __name__ == "__main__":

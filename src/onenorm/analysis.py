@@ -11,7 +11,7 @@ import numpy as np
 from .errors import InputError
 from .norms import NormReport
 
-__all__ = ["ScalingFit", "fit_scaling", "aggregate_report"]
+__all__ = ["ScalingFit", "fit_scaling", "aggregate_report", "to_csv"]
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,11 @@ def aggregate_report(entries, baseline: str):
     return rows
 
 
-def report_rows_to_csv(rows) -> str:
+def to_csv(columns, rows) -> str:
+    """CSV text: the header ``columns``, then one line per row of values
+    (none is a header alone).  Floats are written as their repr."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=REPORT_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({key: row[key] for key in REPORT_COLUMNS})
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
     return buffer.getvalue()

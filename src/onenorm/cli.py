@@ -69,30 +69,9 @@ def _write_result(args, result):
 
 
 def _emit(args, payload, csv_text: str | None = None):
-    if getattr(args, "csv", False) and csv_text is not None:
-        sys.stdout.write(csv_text)
-        return
-    if getattr(args, "pretty", False):
-        sys.stdout.write(_pretty_table(payload))
-        return
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _pretty_table(payload) -> str:
-    lines = []
-
-    def walk(obj, name):
-        if isinstance(obj, dict):
-            for key in sorted(obj):
-                walk(obj[key], f"{name}.{key}" if name else str(key))
-        elif isinstance(obj, (list, tuple)):
-            for k, item in enumerate(obj):
-                walk(item, f"{name}[{k}]")
-        else:
-            lines.append(f"{name:<40} {obj}")
-
-    walk(payload, "")
-    return "\n".join(lines) + "\n"
+    """``csv_text`` under ``--csv`` where the output is tabular, else the JSON payload."""
+    as_csv = getattr(args, "csv", False) and csv_text is not None
+    sys.stdout.write(csv_text if as_csv else json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _parse_indices(text: str | None):
@@ -119,10 +98,7 @@ def _cmd_norm(args):
 def _cmd_classes(args):
     ham = _load_hamiltonian(args.input)
     sums = class_decomposition(ham)
-    csv_text = "class,sum_abs_g\n" + "".join(
-        f"{name},{sums[name]!r}\n" for name in sorted(sums)
-    )
-    _emit(args, sums, csv_text)
+    _emit(args, sums, analysis.to_csv(("class", "sum_abs_g"), sorted(sums.items())))
     return 0
 
 
@@ -152,8 +128,7 @@ def _cmd_jacobi_scan(args):
     thetas = [args.max_angle * k / args.steps for k in range(args.steps + 1)]
     values = jacobi_rotation_norm_scan(ham, p, q, thetas)
     rows = [{"theta": t, "lambda_Q": v} for t, v in zip(thetas, values)]
-    csv_text = "theta,lambda_Q\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(thetas, values))
-    _emit(args, rows, csv_text)
+    _emit(args, rows, analysis.to_csv(("theta", "lambda_Q"), zip(thetas, values)))
     return 0
 
 
@@ -253,8 +228,9 @@ def _cmd_optimize(args):
         raise NumericalError(f"1-norm optimization did not converge: {result.stop_reason}")
     _write_result(args, result)
     if args.trace_out:
-        rows = "".join(f"{r.iteration},{r.lambda_value!r},{r.best_so_far!r}\n" for r in result.trace)
-        _write_output(args.trace_out, "iteration,lambda_Q,best_so_far\n" + rows)
+        _write_output(args.trace_out, analysis.to_csv(
+            ("iteration", "lambda_Q", "best_so_far"),
+            ((r.iteration, r.lambda_value, r.best_so_far) for r in result.trace)))
     _emit(
         args,
         {
@@ -302,7 +278,7 @@ def _cmd_scaling_fit(args):
     points = []
     for index, (number, line) in enumerate(rows):
         try:
-            n, lam = (float(t) for t in line.replace(",", " ").split()[:2])
+            n, lam = (fcidump.parse_number(t) for t in line.replace(",", " ").split()[:2])
         except ValueError:
             if index == 0:
                 continue  # header row
@@ -321,7 +297,7 @@ def _cmd_report(args):
         label, path = item.split("=", 1)
         entries.append((label, norms.norm_report(_load_hamiltonian(path))))
     rows = analysis.aggregate_report(entries, baseline=args.baseline)
-    _emit(args, rows, analysis.report_rows_to_csv(rows))
+    _emit(args, rows, analysis.to_csv(analysis.REPORT_COLUMNS, (row.values() for row in rows)))
     return 0
 
 
@@ -334,28 +310,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit 2 when an iterative method fails to converge")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tabular=False):
-        p.add_argument("--pretty", action="store_true", help="human-readable table")
-        if tabular:
-            p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
-
     p = sub.add_parser("norm", help="all 1-norm variants of a Hamiltonian")
     p.add_argument("input")
     p.add_argument("--cholesky", action="store_true", help="include lambda_SF")
     p.add_argument("--cholesky-tol", type=float, default=norms.CHOLESKY_TOL)
-    common(p)
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("classes", help="seven-class |g| decomposition")
     p.add_argument("input")
-    common(p, tabular=True)
+    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("rotate", help="apply an orthogonal rotation matrix")
     p.add_argument("input")
     p.add_argument("--matrix", required=True, help="rotation matrix file")
     p.add_argument("-o", "--output", help="write rotated FCIDUMP here")
-    common(p)
     p.set_defaults(func=_cmd_rotate)
 
     p = sub.add_parser("jacobi-scan", help="lambda_Q along a single pair rotation")
@@ -363,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", nargs=2, type=int, required=True, metavar=("P", "Q"))
     p.add_argument("--steps", type=int, default=32)
     p.add_argument("--max-angle", type=float, default=float(np.pi / 2))
-    common(p, tabular=True)
+    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_jacobi_scan)
 
     p = sub.add_parser("freeze", help="fold frozen orbitals into an active-space Hamiltonian")
@@ -375,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pick this many active orbitals around the Fermi level")
     p.add_argument("--active-electrons", type=int, default=0)
     p.add_argument("-o", "--output", help="write active-space FCIDUMP here")
-    common(p)
     p.set_defaults(func=_cmd_freeze)
 
     request = LocalizationRequest(scheme="er")  # the defaults of every other field
@@ -391,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on Jacobi sweeps or ascent iterations (default: %(default)s)")
     p.add_argument("--rotation-out", help="write the rotation matrix here")
     p.add_argument("-o", "--output", help="write localized FCIDUMP here")
-    common(p)
     p.set_defaults(func=_cmd_localize)
 
     config = OptimizerConfig()
@@ -411,24 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", help="write the per-iteration CSV trace here")
     p.add_argument("--rotation-out", help="write the rotation matrix here")
     p.add_argument("-o", "--output", help="write optimized FCIDUMP here")
-    common(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("oracle-check", help="compare formula lambda_Q with the Pauli expansion")
     p.add_argument("input")
-    common(p)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("scaling-fit", help="power-law fit of (N, lambda) points")
     p.add_argument("--csv", dest="csv_file", required=True,
                    help="CSV file with N,lambda columns")
-    common(p)
     p.set_defaults(func=_cmd_scaling_fit)
 
     p = sub.add_parser("report", help="tabulate norm reports against a baseline")
     p.add_argument("--baseline", required=True, help="label of the reference entry")
     p.add_argument("entries", nargs="+", metavar="label=path")
-    common(p, tabular=True)
+    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from typing import NoReturn
 
 import numpy as np
 
@@ -64,54 +63,74 @@ def _parse_namelist(lines: list[str]) -> tuple[dict, int]:
 _BODY_ROW = np.dtype([("value", "f8"), ("i", "i4"), ("j", "i4"), ("k", "i4"), ("l", "i4")])
 
 
-def _as_number(text: str, kind):
-    """``kind(text)`` under loadtxt's grammar (ASCII, no underscores), else None."""
-    try:
-        return kind(text) if text.isascii() and "_" not in text else None
-    except ValueError:
-        return None
+def parse_number(text: str, kind=float):
+    """``kind(text)`` under the one number grammar of every input file,
+    that of ``np.loadtxt``: ASCII, no underscores.  ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
 
 
-def _raise_at_bad_line(lines: list[str], body_start: int, norb: int, fallback: str) -> NoReturn:
-    """Raise the InputError of the first bad body line (``fallback`` if none
-    is found): runs only once the whole-body read or its checks failed."""
+def _body_linenos(lines: list[str], body_start: int) -> list[int]:
+    """The 1-based line number of each body row: row r is the r-th non-blank line."""
+    return [n for n, raw in enumerate(lines[body_start:], start=body_start + 1) if raw.strip()]
+
+
+def _scan_tokens(lines: list[str], body_start: int):
+    """The index rows of the body lines before the first that breaks a token
+    rule (count, numeric value, integer indices), and that line's InputError
+    or None: the line-by-line read that follows a failed whole-body read."""
+    rows = []
     for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
         tokens = raw.split()
         if not tokens:
             continue
         if len(tokens) != 5:
-            raise InputError(f"line {lineno}: expected 'value i j k l', got {raw!r}")
-        if _as_number(tokens[0], float) is None:
-            raise InputError(f"line {lineno}: non-numeric value {tokens[0]!r}")
-        idx = [_as_number(t, int) for t in tokens[1:]]
-        if None in idx:
-            raise InputError(f"line {lineno}: non-integer index in {raw!r}")
-        for i in idx:
-            if i < 0 or i > norb:
-                raise InputError(f"line {lineno}: index {i} outside [0, {norb}]")
-        i, j, k, l = idx
-        if (i or j or k or l) and not (i and j and (k and l or not (k or l))):
-            raise InputError(f"line {lineno}: malformed index pattern {raw!r}")
-    raise InputError(fallback)
+            return rows, InputError(f"line {lineno}: expected 'value i j k l', got {raw!r}")
+        try:
+            parse_number(tokens[0])
+        except ValueError:
+            return rows, InputError(f"line {lineno}: non-numeric value {tokens[0]!r}")
+        try:
+            rows.append([parse_number(t, int) for t in tokens[1:]])
+        except ValueError:
+            return rows, InputError(f"line {lineno}: non-integer index in {raw!r}")
+    return rows, None
+
+
+def _check_indices(i, j, k, l, norb: int, lines: list[str], body_start: int):
+    """Raise the InputError of the first body row whose indices break a
+    rule: its first index, in i j k l order, outside [0, norb], else a
+    pattern other than core 0 0 0 0, one-body i j 0 0 and two-body i j k l."""
+    outside = [(x < 0) | (x > norb) for x in (i, j, k, l)]
+    one = (k == 0) & (l == 0)
+    valid = one & (i == 0) & (j == 0) | (i > 0) & (j > 0) & (one | (k > 0) & (l > 0))
+    bad = np.flatnonzero(np.logical_not(valid) | np.logical_or.reduce(outside))
+    if len(bad) == 0:
+        return
+    row = bad[0]
+    lineno = _body_linenos(lines, body_start)[row]
+    out_of_range = [x[row] for x, out in zip((i, j, k, l), outside) if out[row]]
+    if out_of_range:
+        raise InputError(f"line {lineno}: index {out_of_range[0]} outside [0, {norb}]")
+    raise InputError(f"line {lineno}: malformed index pattern {lines[lineno - 1]!r}")
 
 
 def _read_rows(lines: list[str], body_start: int, norb: int) -> np.ndarray:
     """The body lines ``value i j k l`` as rows of one ``np.loadtxt`` pass,
-    with whole-array index checks; only a failed read or check goes line
-    by line, to raise the InputError of the first bad line."""
+    with whole-array index checks.  Only a failed read goes line by line, and
+    an index error before its first bad line is raised first."""
     body = lines[body_start:]
     if not any(map(str.strip, body)):  # loadtxt warns on an empty body
         return np.zeros(0, _BODY_ROW)
     try:
         rows = np.loadtxt(body, dtype=_BODY_ROW, comments=None, ndmin=1)
     except ValueError as exc:
-        _raise_at_bad_line(lines, body_start, norb, f"unreadable FCIDUMP body: {exc}")
-    i, j, k, l = (rows[c] for c in "ijkl")
-    one = (k == 0) & (l == 0)
-    # core 0 0 0 0, one-body i j 0 0 or two-body i j k l: no index below 0
-    valid = one & (i == 0) & (j == 0) | (i > 0) & (j > 0) & (one | (k > 0) & (l > 0))
-    if not (valid.all() and max(x.max() for x in (i, j, k, l)) <= norb):
-        _raise_at_bad_line(lines, body_start, norb, "bad index in the FCIDUMP body")
+        before, error = _scan_tokens(lines, body_start)
+        # object rows: an index too large for the loadtxt dtype is out of range
+        _check_indices(*np.array(before, dtype=object).reshape(-1, 4).T, norb, lines, body_start)
+        raise error or InputError(f"unreadable FCIDUMP body: {exc}") from None
+    _check_indices(*(rows[c] for c in "ijkl"), norb, lines, body_start)
     return rows
 
 
@@ -158,8 +177,8 @@ def parse_fcidump(text: str) -> MolecularHamiltonian:
     lines = text.splitlines()
     fields, body_start = _parse_namelist(lines)
     try:
-        norb = int(fields["NORB"])
-        nelec = int(fields["NELEC"])
+        norb = parse_number(fields["NORB"], int)
+        nelec = parse_number(fields["NELEC"], int)
     except KeyError as missing:
         raise InputError(f"&FCI namelist must declare {missing.args[0]}") from None
     except ValueError:
@@ -177,8 +196,7 @@ def parse_fcidump(text: str) -> MolecularHamiltonian:
     del lines  # the line list outweighs every array built below
     core, conflicts = _scatter(rows, h, pairs)
     if conflicts:
-        linenos = [n for n, raw in enumerate(text.splitlines()[body_start:], start=body_start + 1)
-                   if raw.strip()]  # the line of each row
+        linenos = _body_linenos(text.splitlines(), body_start)
         for row, old, new in conflicts:
             i, j, k, l = rows[row].tolist()[1:]
             name = f"h[{i},{j}]" if k == 0 else f"g[{i},{j},{k},{l}]"
@@ -277,7 +295,7 @@ def _split_sections(lines: list[str]) -> dict[str, np.ndarray]:
             name = parts[1].upper()
             if name in sections:
                 raise InputError(f"duplicate section {name}")
-            if not (parts[2].isdecimal() and parts[3].isdecimal()):
+            if not all(t.isascii() and t.isdecimal() for t in parts[2:]):  # counts: digits only
                 raise InputError(f"bad dimensions in header {stripped!r}")
             shape = (int(parts[2]), int(parts[3]))
             values = []
@@ -285,7 +303,7 @@ def _split_sections(lines: list[str]) -> dict[str, np.ndarray]:
             if name is None:
                 raise InputError("data before any #SECTION header")
             try:
-                values.extend(float(t) for t in stripped.split())
+                values.extend(parse_number(t) for t in stripped.split())
             except ValueError:
                 raise InputError(f"non-numeric value in section {name}: {stripped!r}") from None
     close()

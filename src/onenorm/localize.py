@@ -32,11 +32,13 @@ explicit window it leaves out sum_{p not in window} (pp|pp), a constant
 that no window rotation changes.
 
 ``method="jacobi"`` runs :func:`_jacobi` on the stack for all three
-schemes, and ``method="ascent"`` runs :func:`_ascend`: on the stack for FB
-and PM, on the two-electron tensor itself for ER.  The orbital optimizer
-starts from the ER result, and SLSQP on H2/cc-pVDZ is so sensitive to the
-last bits of that start that running the ascent on the stack instead (a
-start 4e-9 relative away) took it from 154 to 1838 objective calls.
+schemes.  ``method="ascent"`` serves ER alone and runs :func:`_ascend` on
+the two-electron tensor itself: the orbital optimizer starts from its
+result, and SLSQP on H2/cc-pVDZ is so sensitive to the last bits of that
+start that running the ascent on the stack instead (a start 4e-9 relative
+away) took it from 154 to 1838 objective calls.  FB and PM ascent, which
+on the shipped inputs stopped at the symmetric canonical start or ended
+no lower in lambda_Q than Jacobi, is refused.
 
 OAO ignores the window: it returns the rotation carrying the current MO
 basis onto the symmetrically orthogonalized AOs, C^-1 S^(-1/2).
@@ -108,16 +110,14 @@ class LocalizationRequest:
 
     ``method`` picks the maximizer for the MO schemes: "jacobi" (sweeps
     over the window pairs in rounds of disjoint pairs, aggressive, may hop
-    basins) or "ascent" (monotone Riemannian gradient ascent, converges to
-    the stationary point nearest the starting basis, the way Newton-style
-    localizers in production chemistry codes behave).  Both never decrease
-    the objective and are deterministic.  ``max_sweeps`` caps Jacobi
-    sweeps and ascent iterations alike and must be non-negative;
-    ``convergence_tol`` must be finite and non-negative.  A start whose
-    gradient vanishes is stationary for "ascent", which returns it after 0
-    iterations: FB on centrosymmetric canonical orbitals (<p|r|p> = 0) and
-    PM with populations equal by symmetry.  Use "jacobi" for FB and PM
-    there.
+    basins) or, for ER only, "ascent" (monotone Riemannian gradient
+    ascent, converges to the stationary point nearest the starting basis,
+    the way Newton-style localizers in production chemistry codes behave;
+    a start whose gradient vanishes is returned after 0 iterations).  Both
+    never decrease the objective and are deterministic; FB and PM with
+    "ascent" are refused, and OAO ignores the method.  ``max_sweeps``
+    caps Jacobi sweeps and ascent iterations alike and must be
+    non-negative; ``convergence_tol`` must be finite and non-negative.
     """
 
     scheme: str
@@ -134,6 +134,8 @@ class LocalizationRequest:
         method = str(self.method).lower()
         if method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; pick one of {METHODS}")
+        if method == "ascent" and scheme in ("fb", "pm"):
+            raise InputError(f"method 'ascent' serves er only; use 'jacobi' for {scheme}")
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "window", check_window(self.window))
         check_limits("max_sweeps", self.max_sweeps, self.convergence_tol)
@@ -265,18 +267,6 @@ def _stack_objective(mats, weights, window) -> float:
     return sum((weights * squares).tolist(), 0.0)
 
 
-def _stack_gradient(mats, weights, window):
-    """Gradient of the stack objective with respect to a generator K.
-
-    Columns convention, as ``_ascend`` uses it: entry (q, p) is
-    R_qp - R_pq with R_qp = 4 sum_k w_k (M_k)_qp (M_k)_pp [p in window].
-    """
-    diag = np.zeros(mats.shape[:2])
-    diag[:, list(window)] = np.einsum("kpp->kp", mats)[:, list(window)]
-    raw = 4.0 * np.einsum("kqp,kp->qp", mats, weights[:, np.newaxis] * diag)
-    return raw - raw.T
-
-
 def _round_robin(window):
     """One sweep: rounds (i, j) of disjoint window pairs, index arrays with
     i < j, covering each pair once (circle method; odd windows add a slot -1)."""
@@ -340,28 +330,29 @@ def _jacobi(mats, weights, window, request):
     return u, log, converged, sweeps
 
 
-def _ascend(state, rotate, cost, gradient, window, request):
-    """Monotone gradient ascent over window rotations.
+def _ascend(g, window, request):
+    """Monotone gradient ascent of sum_{p in window} (pp|pp) over window rotations.
 
-    ``cost(state)`` evaluates the objective, ``gradient(state)`` its
-    derivative with respect to an antisymmetric generator (columns
-    convention), and ``rotate(state, u_step)`` returns the state in the
-    rotated basis.  A trial step that improves the objective becomes the
-    state as it is; one that does not is halved.  The accumulated rotation
-    and the per-iteration objective log are returned.
+    The gradient with respect to an antisymmetric generator (columns
+    convention) is R_qp - R_pq with R_qp = 4 (pp|pq).  A trial step rotates
+    the tensor, filled after the transform, and one that improves the
+    objective becomes the tensor as it is; one that does not is halved.
+    The accumulated rotation and the per-iteration objective log are
+    returned.
     """
-    n = state.shape[-1]
+    n = g.shape[-1]
     mask = np.zeros((n, n), dtype=bool)
     mask[np.ix_(window, window)] = True
     u = np.eye(n)
-    value = cost(state)
+    value = _self_repulsion(g, window)
     log = [value]
     eta = None
     converged = False
     iterations = 0
     stalls = 0
     for _ in range(request.max_sweeps):
-        grad = np.where(mask, gradient(state), 0.0)
+        raw = 4.0 * np.einsum("pppq->qp", g)
+        grad = np.where(mask, raw - raw.T, 0.0)
         gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
         scale = max(1.0, abs(value))
         if gnorm <= max(request.convergence_tol, 1e-13) * scale:
@@ -372,10 +363,10 @@ def _ascend(state, rotate, cost, gradient, window, request):
         improved = False
         while eta * gnorm >= 1e-15:
             u_step = expm(eta * grad)
-            trial = rotate(state, u_step)
-            trial_value = cost(trial)
+            trial = symmetrize_two_body(transform_two_body(g, u_step))
+            trial_value = _self_repulsion(trial, window)
             if trial_value > value:
-                state = trial
+                g = trial
                 u = u @ u_step
                 gain = trial_value - value
                 value = trial_value
@@ -390,12 +381,6 @@ def _ascend(state, rotate, cost, gradient, window, request):
             converged = True  # out of ascent at this resolution
             break
     return u, log, converged, iterations
-
-
-def _er_gradient(g):
-    """Ascent gradient of sum_p (pp|pp): R_qp - R_pq with R_qp = 4 (pp|pq)."""
-    raw = 4.0 * np.einsum("pppq->qp", g)
-    return raw - raw.T
 
 
 def _oao_rotation(ham, coeff, aux):
@@ -433,19 +418,8 @@ def localize(
     elif request.method == "jacobi":
         mats, weights = _objective_stack(ham, coeff, aux, request.scheme)
         u, log, converged, sweeps = _jacobi(mats, weights, window, request)
-    elif request.scheme == "er":
-        u, log, converged, sweeps = _ascend(
-            ham.two_body_dense(),
-            lambda g, v: symmetrize_two_body(transform_two_body(g, v)),
-            lambda g: _self_repulsion(g, window), _er_gradient, window, request,
-        )
-    else:
-        mats, weights = _objective_stack(ham, coeff, aux, request.scheme)
-        u, log, converged, sweeps = _ascend(
-            mats, lambda m, v: v.T @ m @ v,
-            lambda m: _stack_objective(m, weights, window),
-            lambda m: _stack_gradient(m, weights, window), window, request,
-        )
+    else:  # ER: the request refuses ascent for FB and PM
+        u, log, converged, sweeps = _ascend(ham.two_body_dense(), window, request)
 
     if not converged:
         warnings.warn(

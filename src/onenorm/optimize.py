@@ -61,6 +61,7 @@ class OptimizerConfig:
                              f"got {self.localization_method!r}")
         object.__setattr__(self, "window", check_window(self.window))
         check_limits("max_iterations", self.max_iterations, self.convergence_tol)
+        self.start_request()  # refuses what the request refuses: ascent for fb and pm
 
     @property
     def scipy_method(self) -> str:
@@ -70,6 +71,14 @@ class OptimizerConfig:
         if self.start_from == "current":
             return None
         return self.start_from.partition(":")[2]
+
+    def start_request(self) -> LocalizationRequest | None:
+        """The localization the run starts from; None for the input basis."""
+        scheme = self.start_scheme()
+        if scheme is None:
+            return None
+        return LocalizationRequest(scheme=scheme, window=self.window,
+                                   method=self.localization_method)
 
 
 @dataclass(frozen=True)
@@ -225,13 +234,7 @@ def minimize_norm(
     scheme = config.start_scheme()
     pre_rotation, ham_ref = OrbitalRotation.identity(n), ham
     if scheme is not None:
-        loc = localize(
-            ham,
-            coeff,
-            aux,
-            LocalizationRequest(scheme=scheme, window=config.window,
-                                method=config.localization_method),
-        )
+        loc = localize(ham, coeff, aux, config.start_request())
         pre_rotation, ham_ref = loc.rotation, loc.hamiltonian
 
     n_params = len(window) * (len(window) - 1) // 2

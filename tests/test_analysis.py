@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from onenorm import aggregate_report, fit_scaling, norm_report
-from onenorm.analysis import REPORT_COLUMNS, report_rows_to_csv
+from onenorm.analysis import REPORT_COLUMNS, to_csv
 from onenorm.errors import InputError
 
 from conftest import random_hamiltonian
@@ -92,8 +92,14 @@ def test_aggregate_report_errors(rng):
 def test_report_csv_columns(rng):
     report = norm_report(random_hamiltonian(2, rng))
     rows = aggregate_report([("cmo", report)], baseline="cmo")
-    csv_text = report_rows_to_csv(rows)
+    csv_text = to_csv(REPORT_COLUMNS, (row.values() for row in rows))
     header = csv_text.splitlines()[0]
     assert header == ",".join(REPORT_COLUMNS)
     assert header == "label,lambda_C,lambda_T,lambda_V_prime,lambda_Q,reduction_pct"
     assert list(rows[0]) == list(REPORT_COLUMNS)
+
+
+def test_csv_writes_the_header_alone_for_no_rows_and_floats_as_repr():
+    assert to_csv(("iteration", "lambda_Q"), []) == "iteration,lambda_Q\n"
+    text = to_csv(("a", "b", "c"), [(0, 0.1 + 0.2, "x,y"), (1, 1e-300, "z")])
+    assert text == 'a,b,c\n0,0.30000000000000004,"x,y"\n1,1e-300,z\n'

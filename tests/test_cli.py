@@ -205,6 +205,14 @@ def test_localize_method_flag_matches_library(capsys, small_fcidump):
     assert payload["norms_after"]["lambda_Q_no_const"] == lambda_q(expected.hamiltonian)
 
 
+@pytest.mark.parametrize("scheme", ["fb", "pm"])
+def test_localize_refuses_ascent_for_fb_and_pm(capsys, small_fcidump, scheme):
+    path, _ = small_fcidump
+    code, out, err = invoke(capsys, "localize", path, "--scheme", scheme, "--method", "ascent")
+    assert (code, out) == (1, "")
+    assert err == f"error: method 'ascent' serves er only; use 'jacobi' for {scheme}\n"
+
+
 def test_optimize_subcommand(capsys, tmp_path, small_fcidump):
     path, _ = small_fcidump
     trace_path = tmp_path / "trace.csv"
@@ -271,6 +279,15 @@ def test_scaling_fit_rejects_a_bad_row_after_the_header(capsys, tmp_path):
     assert code == 1 and "line 4" in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0661\u0660"])
+def test_scaling_fit_numbers_follow_the_fcidump_grammar(capsys, tmp_path, token):
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text(f"n,lambda\n2,4\n{token},100\n4,16\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "scaling-fit", "--csv", str(csv_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: line 3 is not a row of N, lambda: '{token},100'\n"
+
+
 @pytest.mark.parametrize("rows", ["2,4\n3,{bad}\n4,16\n", "2,4\n{bad},9\n4,16\n"])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_scaling_fit_rejects_non_finite_points(capsys, tmp_path, rows, bad):
@@ -301,7 +318,6 @@ def test_mo_coefficients_must_have_one_column_per_orbital(capsys, tmp_path):
                                           (chain_path(2), full, "(3, 3), expected (3, 2)")):
         for scheme in ("fb", "pm"):
             for tail in (["localize", "--scheme", scheme, "--method", "jacobi"],
-                         ["localize", "--scheme", scheme, "--method", "ascent"],
                          ["optimize", "--start", scheme, "--max-iter", "2"]):
                 argv = [tail[0], fcidump_path, "--aux", aux_path, *tail[1:]]
                 code, out, err = invoke(capsys, *argv)
@@ -376,19 +392,6 @@ def test_stdout_is_deterministic(capsys, small_fcidump):
         _, second, _ = invoke(capsys, *argv)
         assert code == 0
         assert first == second
-
-
-def test_pretty_output(capsys, small_fcidump):
-    path, _ = small_fcidump
-    code, out, _ = invoke(capsys, "norm", path, "--pretty")
-    assert code == 0
-    assert "lambda_Q_no_const" in out
-    assert not out.lstrip().startswith("{")
-    code, out, _ = invoke(capsys, "jacobi-scan", path, "--pair", "0", "1", "--steps", "1",
-                          "--pretty")
-    assert code == 0
-    names = [line.split()[0] for line in out.splitlines()]
-    assert names == ["[0].lambda_Q", "[0].theta", "[1].lambda_Q", "[1].theta"]
 
 
 def test_strict_nonconvergence_exit_code(capsys, tmp_path, rng):

@@ -85,7 +85,7 @@ def test_roundtrip_rotated_bitwise(rng):
 
 
 @given(st.integers(1, 4), st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 def test_roundtrip_property(n, seed):
     ham = random_hamiltonian(n, np.random.default_rng(seed))
     back = parse_fcidump(write_fcidump(ham))
@@ -497,6 +497,30 @@ def test_tokens_outside_the_loadtxt_grammar_are_input_errors():
         reference_parse_fcidump(head + line + "\n")
         with pytest.raises(InputError, match=match):
             parse_fcidump(head + line + "\n")
+
+
+@pytest.mark.parametrize("header", ["NORB=1_0,NELEC=2", "NORB=2,NELEC=\u0662",
+                                    "NORB=1_0,NELEC=\u0662"])
+def test_header_numbers_follow_the_body_grammar(header):
+    with pytest.raises(InputError, match="^NORB and NELEC must be integers$"):
+        parse_fcidump(f" &FCI {header},\n &END\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661"])
+def test_aux_values_follow_the_body_grammar(token):
+    with pytest.raises(InputError, match="^non-numeric value in section OVERLAP: "):
+        parse_auxiliary(f"#SECTION OVERLAP 1 1\n{token}\n")
+
+
+def test_aux_dimensions_follow_the_body_grammar():
+    with pytest.raises(InputError, match="^bad dimensions in header "):
+        parse_auxiliary("#SECTION OVERLAP \u0661 \u0661\n1\n")
+
+
+@pytest.mark.parametrize("text", ["1_0 0\n0 1\n", "1 0\n0 \u0661\n"])
+def test_bare_matrix_numbers_follow_the_body_grammar(text):
+    with pytest.raises(InputError, match="^non-numeric value in section MATRIX: "):
+        read_labeled_matrix(text)
 
 
 def test_parse_runs_no_python_per_body_line():

@@ -33,6 +33,14 @@ def test_config_validation():
     assert OptimizerConfig(start_from="localized:pm").start_scheme() == "pm"
 
 
+@pytest.mark.parametrize("scheme", ["fb", "pm"])
+def test_config_refuses_an_ascent_start_for_fb_and_pm(scheme):
+    with pytest.raises(InputError, match="use 'jacobi'"):
+        OptimizerConfig(start_from=f"localized:{scheme}", localization_method="ascent")
+    for start in ("current", "localized:er", "localized:oao"):
+        OptimizerConfig(start_from=start, localization_method="ascent")
+
+
 def test_start_from_is_one_of_the_named_starts():
     from onenorm.localize import SCHEMES
 
