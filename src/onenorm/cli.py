@@ -40,6 +40,9 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot open {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path!r} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start}") from None
 
 
 def _load_hamiltonian(path: str):
@@ -301,6 +304,63 @@ def _cmd_report(args):
     return 0
 
 
+def _check_strict(args, unconverged):
+    """Under --strict, runs that did not converge are a numerical failure."""
+    if args.strict and unconverged:
+        raise NumericalError(f"did not converge: {', '.join(unconverged)}")
+
+
+def _cmd_table_benchmark(args):
+    with _recording_warnings() as caught:
+        ham = _load_hamiltonian(args.input)
+        aux = _load_aux(args.aux)
+        entries, runs = [("cmo", norms.norm_report(ham))], []
+        for scheme in filter(None, (s.strip().lower() for s in args.schemes.split(","))):
+            request = LocalizationRequest(scheme=scheme, method=args.method)
+            result = run_localize(ham, None, aux, request)
+            entries.append((scheme, norms.norm_report(result.hamiltonian)))
+            runs.append({"label": scheme, "converged": result.converged,
+                         "sweeps": result.sweeps})
+        if args.optimize:
+            config = OptimizerConfig(start_from="localized:er", localization_method=args.method,
+                                     algorithm=args.algorithm, max_iterations=args.max_iter)
+            result = minimize_norm(ham, config, aux)
+            entries.append(("optimizer", norms.norm_report(result.hamiltonian)))
+            runs.append({"label": "optimizer", "converged": result.converged,
+                         "n_objective_calls": result.n_objective_calls,
+                         "n_gradient_calls": result.n_gradient_calls})
+    _check_strict(args, [run["label"] for run in runs if not run["converged"]])
+    rows = analysis.aggregate_report(entries, baseline="cmo")
+    _emit(args, {"rows": rows, "runs": runs, "warnings": caught},
+          analysis.to_csv(analysis.REPORT_COLUMNS, (row.values() for row in rows)))
+    return 0
+
+
+def _cmd_scaling_study(args):
+    columns = ["size", "lambda_cmo"] + (["lambda_localized"] if args.localize else [])
+    request = (LocalizationRequest(scheme=args.localize, method=args.method)
+               if args.localize else None)
+    with _recording_warnings() as caught:
+        points, unconverged = [], []
+        for path in sorted(args.inputs):
+            ham = _load_hamiltonian(path)
+            point = {"path": path, "size": ham.n_orbitals, "lambda_cmo": norms.lambda_q(ham)}
+            if request:
+                aux_path = path.removesuffix("_cmo.fcidump") + "_aux.txt"
+                aux = None if request.scheme == "er" else _load_aux(aux_path)
+                result = run_localize(ham, None, aux, request)
+                point["lambda_localized"] = norms.lambda_q(result.hamiltonian)
+                if not result.converged:
+                    unconverged.append(path)
+            points.append(point)
+    _check_strict(args, unconverged)
+    payload = {"points": points, "warnings": caught}
+    for column, key in zip(columns[1:], ("fit_cmo", "fit_localized")):
+        payload[key] = analysis.fit_scaling([(p["size"], p[column]) for p in points]).to_dict()
+    _emit(args, payload, analysis.to_csv(columns, ([p[c] for c in columns] for p in points)))
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onenorm",
@@ -394,6 +454,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("entries", nargs="+", metavar="label=path")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_report)
+
+    p = sub.add_parser("table-benchmark",
+                       help="lambda_Q in the input basis, localized bases and the optimizer's")
+    p.add_argument("input")
+    p.add_argument("--aux", help="auxiliary file (needed by fb/pm/oao)")
+    p.add_argument("--schemes", default="er", help="comma list from {er,fb,pm,oao}")
+    p.add_argument("--method", default=request.method, choices=list(LOCALIZE_METHODS),
+                   help="maximizer for the schemes and the optimizer's ER start")
+    p.add_argument("--optimize", action="store_true",
+                   help="also minimize lambda_Q from the ER basis")
+    p.add_argument("--algorithm", default="sequential-quadratic",
+                   choices=list(OPTIMIZER_ALGORITHMS))
+    p.add_argument("--max-iter", type=int, default=300)
+    p.add_argument("--csv", action="store_true", help="CSV of the rows instead of JSON")
+    p.set_defaults(func=_cmd_table_benchmark)
+
+    p = sub.add_parser("scaling-study", help="power-law fits of lambda_Q over FCIDUMP files")
+    p.add_argument("inputs", nargs="+", metavar="input")
+    p.add_argument("--localize", choices=list(LOCALIZE_SCHEMES),
+                   help="also fit this scheme's localized basis; fb/pm/oao read the "
+                        "<stem>_aux.txt beside each <stem>_cmo.fcidump")
+    p.add_argument("--method", default=request.method, choices=list(LOCALIZE_METHODS))
+    p.add_argument("--csv", action="store_true", help="CSV of the points instead of JSON")
+    p.set_defaults(func=_cmd_scaling_study)
 
     return parser
 

@@ -47,7 +47,7 @@ basis onto the symmetrically orthogonalized AOs, C^-1 S^(-1/2).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -164,7 +164,9 @@ def _self_repulsion(g, window) -> float:
 def _mo_coefficients(coeff, aux: AuxiliaryIntegrals, n_ao: int, n_orbitals=None,
                      default=None):
     """``coeff``, else the MO_COEFF section, else ``default``, checked to be
-    ``n_ao`` by ``n_orbitals`` (any column count when that is None)."""
+    ``n_ao`` by ``n_orbitals`` (any column count when that is None); a
+    ``coeff`` argument must also pass the MO_COEFF rules of ``aux``."""
+    given = coeff is not None
     if coeff is None:
         coeff = aux.mo_coefficients
     if coeff is None:
@@ -175,6 +177,8 @@ def _mo_coefficients(coeff, aux: AuxiliaryIntegrals, n_ao: int, n_orbitals=None,
     expected = (n_ao, coeff.shape[-1] if n_orbitals is None else n_orbitals)
     if coeff.shape != expected:
         raise InputError(f"MO coefficients have shape {coeff.shape}, expected {expected}")
+    if given:
+        replace(aux, mo_coefficients=coeff)
     return coeff
 
 

@@ -216,7 +216,6 @@ def minimize_norm(
     ham: MolecularHamiltonian,
     config: OptimizerConfig,
     aux: AuxiliaryIntegrals | None = None,
-    coeff: np.ndarray | None = None,
 ) -> OptimizationResult:
     """Minimize lambda_Q over window rotations, optionally pre-localizing.
 
@@ -234,7 +233,7 @@ def minimize_norm(
     scheme = config.start_scheme()
     pre_rotation, ham_ref = OrbitalRotation.identity(n), ham
     if scheme is not None:
-        loc = localize(ham, coeff, aux, config.start_request())
+        loc = localize(ham, None, aux, config.start_request())
         pre_rotation, ham_ref = loc.rotation, loc.hamiltonian
 
     n_params = len(window) * (len(window) - 1) // 2

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -256,6 +257,8 @@ def test_parsed_defaults_are_the_library_defaults():
         "localization_method": OptimizerConfig.localization_method,  # optimize has no flag
     }
     assert parser.parse_args(["norm", "in.fcidump"]).cholesky_tol == norms.CHOLESKY_TOL
+    for argv in (["table-benchmark", "in.fcidump"], ["scaling-study", "in.fcidump"]):
+        assert parser.parse_args(argv).method == LocalizationRequest.method
 
 
 def test_scaling_fit_subcommand(capsys, tmp_path):
@@ -334,6 +337,27 @@ def test_unwritable_output_is_an_input_error(capsys, tmp_path, small_fcidump):
 
 
 @requires_fixtures
+def test_table_benchmark_reproduces_the_h2_optimizer_row_at_one_blas_thread():
+    # the README's command for the paper's 90.44, in a fresh interpreter so
+    # that the BLAS thread count is set before numpy loads
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    one = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    out = subprocess.run(
+        [sys.executable, "-m", "onenorm", "table-benchmark", H2_FCIDUMP, "--schemes", "er",
+         "--method", "ascent", "--optimize"],
+        check=True, timeout=120, env=dict(os.environ, PYTHONPATH=src, **one),
+        capture_output=True, text=True).stdout
+    payload = json.loads(out)
+    assert [row["lambda_Q"] for row in payload["rows"]] == [
+        101.32714205490453, 92.97637295425199, 90.44164546364041]
+    assert payload["runs"][-1] == {"label": "optimizer", "converged": True,
+                                   "n_objective_calls": 154, "n_gradient_calls": 46}
+
+
+@requires_fixtures
 @pytest.mark.parametrize("module", ["onenorm", "onenorm.cli"])
 def test_entry_points_exit_codes(module):
     import subprocess
@@ -383,6 +407,82 @@ def test_report_bad_entry(capsys):
     code, _, err = invoke(capsys, "report", "--baseline", "x", "nopath")
     assert code == 1
     assert "label=path" in err
+
+
+@requires_fixtures
+def test_table_benchmark_runs_every_scheme(capsys):
+    # every scheme with Jacobi, and the two that take ascent with it
+    for n in (2, 3, 4):
+        aux = os.path.join(FIXTURE_DIR, f"hchain_{n:02d}_sto3g_aux.txt")
+        for schemes, method in (("er,fb,pm,oao", "jacobi"), ("er,oao", "ascent")):
+            code, out, err = invoke(capsys, "table-benchmark", chain_path(n), "--aux", aux,
+                                    "--schemes", schemes, "--method", method)
+            assert code == 0, err
+            payload = json.loads(out)
+            assert [row["label"] for row in payload["rows"]] == ["cmo", *schemes.split(",")]
+            assert [run["label"] for run in payload["runs"]] == schemes.split(",")
+            assert payload["warnings"] == []
+
+
+@requires_fixtures
+def test_table_benchmark_strict_exits_2_when_a_run_stops_short(capsys):
+    argv = ["table-benchmark", chain_path(4), "--optimize", "--max-iter", "1"]
+    code, out, _ = invoke(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0
+    assert [run["converged"] for run in payload["runs"]] == [True, False]
+    assert len(payload["warnings"]) == 1 and "did not converge" in payload["warnings"][0]
+    assert invoke(capsys, "--strict", *argv) == (
+        2, "", "numerical failure: did not converge: optimizer\n")
+
+
+@requires_fixtures
+def test_scaling_study_reads_aux_beside_each_fcidump(capsys, tmp_path):
+    code, out, err = invoke(capsys, "scaling-study", "--localize", "pm",
+                            *(chain_path(n) for n in (2, 3, 4)))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert [point["size"] for point in payload["points"]] == [2, 3, 4]
+    assert all(point["lambda_localized"] > 0 for point in payload["points"])
+    assert set(payload) == {"points", "fit_cmo", "fit_localized", "warnings"}
+
+    lone = tmp_path / "lone_cmo.fcidump"
+    shutil.copy(chain_path(2), lone)
+    code, out, err = invoke(capsys, "scaling-study", "--localize", "fb", str(lone))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "lone_aux.txt" in err
+
+
+@requires_fixtures
+def test_experiment_input_errors_are_one_line(capsys, tmp_path):
+    h4, h4_aux = chain_path(4), os.path.join(FIXTURE_DIR, "hchain_04_sto3g_aux.txt")
+    chains = [chain_path(n) for n in (2, 3, 4)]
+    latin1 = tmp_path / "latin1_cmo.fcidump"
+    latin1.write_bytes(b"caf\xe9\n")
+    for argv in (
+        ["table-benchmark", h4, "--schemes", "er,pm"],
+        ["table-benchmark", h4, "--aux", h4_aux, "--schemes", "fb", "--method", "ascent"],
+        ["table-benchmark", str(latin1)],
+        ["scaling-study", "--localize", "fb", "--method", "ascent", *chains],
+        ["scaling-study", *chains, str(latin1)],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_non_utf8_inputs_are_input_errors(capsys, tmp_path, small_fcidump):
+    path, _ = small_fcidump
+    fcidump = tmp_path / "latin1.fcidump"
+    fcidump.write_bytes(b" &FCI NORB=1,NELEC=2, &END\n! caf\xe9\n")
+    aux = tmp_path / "bad_aux.txt"
+    aux.write_bytes(b"\xff\n")
+    for argv, name, byte, offset in (
+        (["norm", str(fcidump)], str(fcidump), "e9", 32),
+        (["localize", path, "--scheme", "pm", "--aux", str(aux)], str(aux), "ff", 0),
+    ):
+        assert invoke(capsys, *argv) == (
+            1, "", f"error: {name!r} is not UTF-8 text: byte 0x{byte} at offset {offset}\n")
 
 
 def test_stdout_is_deterministic(capsys, small_fcidump):

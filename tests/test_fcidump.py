@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import sys
 import warnings
@@ -525,7 +526,10 @@ def test_bare_matrix_numbers_follow_the_body_grammar(text):
 
 def test_parse_runs_no_python_per_body_line():
     # traced Python events (calls and lines, in every frame) do not grow
-    # with the body; the per-line reference shows that the probe sees a loop
+    # with the body; the per-line reference shows that the probe sees a loop.
+    # Garbage left by earlier tests (unfinished generators from hypothesis)
+    # runs Python code when it is collected, so it is collected before the
+    # probe and the collector is held off while it counts
     def events(parse, text):
         count = [0]
 
@@ -533,12 +537,17 @@ def test_parse_runs_no_python_per_body_line():
             count[0] += 1
             return trace
 
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
         previous = sys.gettrace()
         sys.settrace(trace)
         try:
             parse(text)
         finally:
             sys.settrace(previous)
+            if was_enabled:
+                gc.enable()
         return count[0]
 
     small = write_fcidump(random_hamiltonian(2, np.random.default_rng(0)))

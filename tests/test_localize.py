@@ -256,6 +256,15 @@ def test_oao_requires_overlap(rng):
         localize(ham, None, aux, LocalizationRequest(scheme="oao"))
 
 
+@pytest.mark.parametrize("scheme", ["fb", "pm", "oao"])
+def test_a_coeff_argument_must_be_s_orthonormal(rng, scheme):
+    # the argument passes the rule of the record's own MO_COEFF section
+    ham = random_hamiltonian(4, rng)
+    aux = random_aux(4, rng)
+    with pytest.raises(InputError, match="not S-orthonormal"):
+        localize(ham, 3.0 * aux.mo_coefficients, aux, LocalizationRequest(scheme=scheme))
+
+
 def test_er_scheme_needs_no_aux(rng):
     ham = random_hamiltonian(3, rng)
     localize(ham, None, None, LocalizationRequest(scheme="er"))

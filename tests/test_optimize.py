@@ -149,7 +149,7 @@ def test_minimizer_beats_best_localization(rng):
         values[scheme] = lambda_q(res.hamiltonian)
     best = min(values, key=values.get)
     config = OptimizerConfig(start_from=f"localized:{best}", max_iterations=200)
-    result = minimize_norm(ham, config, aux=aux, coeff=coeff)
+    result = minimize_norm(ham, config, aux=aux)
     assert result.lambda_final <= min(values.values()) + 1e-9
 
 

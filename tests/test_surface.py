@@ -29,6 +29,9 @@ SUBCOMMAND_FLAGS = {
     "oracle-check": {"input"},
     "scaling-fit": {"--csv"},
     "report": {"--baseline", "entries", "--csv"},
+    "table-benchmark": {"input", "--aux", "--schemes", "--method", "--optimize",
+                        "--algorithm", "--max-iter", "--csv"},
+    "scaling-study": {"inputs", "--localize", "--method", "--csv"},
 }
 
 
@@ -52,8 +55,9 @@ def test_cli_flags_are_pinned():
     assert _flags(parser) == {"--strict"}
     subcommands = _subcommands(parser)
     assert {name: _flags(sub) for name, sub in subcommands.items()} == SUBCOMMAND_FLAGS
-    algorithm = next(a for a in subcommands["optimize"]._actions if a.dest == "algorithm")
-    assert algorithm.choices == ["quasi-newton-bounded", "sequential-quadratic"]
+    for name in ("optimize", "table-benchmark"):
+        algorithm = next(a for a in subcommands[name]._actions if a.dest == "algorithm")
+        assert algorithm.choices == ["quasi-newton-bounded", "sequential-quadratic"]
 
 
 def test_configuration_fields_are_pinned():
