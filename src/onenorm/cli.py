@@ -136,6 +136,11 @@ def _cmd_jacobi_scan(args):
 
 
 def _cmd_freeze(args):
+    listed = [flag for flag, value in (("--frozen", args.frozen), ("--active", args.active))
+              if value is not None]
+    if args.fermi_window is not None and listed:
+        raise InputError("--fermi-window picks the frozen and active orbitals; "
+                         f"it cannot be combined with {' or '.join(listed)}")
     ham = _load_hamiltonian(args.input)
     if args.fermi_window is not None:
         spec = ActiveSpaceSpec.around_fermi(
@@ -397,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("freeze", help="fold frozen orbitals into an active-space Hamiltonian")
     p.add_argument("input")
-    p.add_argument("--frozen", default="", help="comma list of frozen orbitals")
+    p.add_argument("--frozen", default=None, help="comma list of frozen orbitals")
     p.add_argument("--active", default=None,
                    help="comma list of active orbitals; unlisted orbitals are deleted")
     p.add_argument("--fermi-window", type=int, default=None,

@@ -130,11 +130,12 @@ class MolecularHamiltonian:
     """Spin-free electronic Hamiltonian: core constant, h_pq, dense g_pqrs.
 
     All energies in Hartree.  Instances are immutable; the arrays are
-    flagged read-only so they can be shared freely.  The constructor is
-    the one place where h and g become exactly symmetric: h must be
-    symmetric to 1e-12 max(1, max|h|) and is stored as 1/2 (h + h^T), and one
-    ``symmetrize_two_body`` call checks g and stores its fill, a new array
-    whose eight images are exactly equal.
+    flagged read-only so they can be shared freely.  ``n_electrons``, if
+    given, is in 0..2N.  The constructor is the one place where h and g
+    become exactly symmetric: h must be symmetric to 1e-12 max(1, max|h|)
+    and is stored as 1/2 (h + h^T), and one ``symmetrize_two_body`` call
+    checks g and stores its fill, a new array whose eight images are
+    exactly equal.
     """
 
     n_orbitals: int
@@ -156,6 +157,9 @@ class MolecularHamiltonian:
             raise InputError("Hamiltonian contains non-finite entries")
         if not np.isfinite(self.core_constant):
             raise InputError("core constant is not finite")
+        if self.n_electrons is not None and not 0 <= self.n_electrons <= 2 * n:
+            raise InputError(f"NELEC={self.n_electrons} is outside 0..{2 * n}: "
+                             f"{n} orbitals hold at most {2 * n} electrons")
         # relative above |h| = 1: a rotation's round-off grows with max|h|
         if n and np.max(np.abs(h - h.T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
             raise InputError("one-body tensor is not symmetric to 1e-12 max(1, max|h|)")

@@ -23,13 +23,12 @@ A pair whose A and B are rounding noise is flat and is skipped.
       rotation invariant, this is the same optimum as minimizing the
       orbital spread sum_p (<p|r^2|p> - <p|r|p>^2).
   PM  maximizes sum_p sum_A (orbital Mulliken population on atom A)^2:
-      the per-atom population matrices with unit weights.  The aggregate
-      atomic-charge sum sum_A Q_A^2 reported by :func:`cost_pm` is
-      invariant under window rotations and is kept as a diagnostic only.
+      the per-atom population matrices with unit weights.
 
-The logged objective is the window sum for every scheme; for ER with an
-explicit window it leaves out sum_{p not in window} (pp|pp), a constant
-that no window rotation changes.
+The logged objective is the window sum for every scheme, which
+:func:`cost_fb` and :func:`cost_pm` also return; for ER with an explicit
+window it leaves out sum_{p not in window} (pp|pp), a constant that no
+window rotation changes.
 
 ``method="jacobi"`` runs :func:`_jacobi` on the stack for all three
 schemes.  ``method="ascent"`` serves ER alone and runs :func:`_ascend` on
@@ -161,78 +160,67 @@ def _self_repulsion(g, window) -> float:
     return float(np.sum(np.einsum("pppp->p", g)[list(window)], dtype=np.longdouble))
 
 
-def _mo_coefficients(coeff, aux: AuxiliaryIntegrals, n_ao: int, n_orbitals=None,
-                     default=None):
-    """``coeff``, else the MO_COEFF section, else ``default``, checked to be
-    ``n_ao`` by ``n_orbitals`` (any column count when that is None); a
-    ``coeff`` argument must also pass the MO_COEFF rules of ``aux``."""
-    given = coeff is not None
+# The sections each scheme reads, as (section, AuxiliaryIntegrals field); OAO
+# also reads MO_COEFF unless the overlap is the identity (see _oao_rotation)
+_NEEDS = {"fb": (("DIPOLE_X/Y/Z", "dipole_ao"), ("MO_COEFF", "mo_coefficients")),
+          "pm": (("OVERLAP", "ao_overlap"), ("AO_ATOM_MAP", "ao_to_atom"),
+                 ("MO_COEFF", "mo_coefficients")),
+          "oao": (("OVERLAP", "ao_overlap"),)}
+
+
+def _checked_aux(scheme, coeff, aux):
+    """``aux`` with a ``coeff`` argument as its MO_COEFF section (so the
+    section's rules apply to it), holding every section ``scheme`` reads."""
+    if coeff is not None:
+        aux = replace(aux or AuxiliaryIntegrals(), mo_coefficients=coeff)
+    for section, name in _NEEDS.get(scheme, ()):
+        if getattr(aux, name, None) is None:
+            raise InputError(f"{scheme} needs the {section} section")
+    return aux
+
+
+def _mo_coefficients(scheme, aux: AuxiliaryIntegrals, n_orbitals=None):
+    """The MO_COEFF section, checked to have ``n_orbitals`` columns (any
+    count when that is None); its rows match the other sections' AOs."""
+    coeff = aux.mo_coefficients
     if coeff is None:
-        coeff = aux.mo_coefficients
-    if coeff is None:
-        coeff = default
-    if coeff is None:
-        raise InputError("scheme needs MO coefficients (argument or MO_COEFF section)")
-    coeff = np.asarray(coeff, dtype=float)
-    expected = (n_ao, coeff.shape[-1] if n_orbitals is None else n_orbitals)
-    if coeff.shape != expected:
-        raise InputError(f"MO coefficients have shape {coeff.shape}, expected {expected}")
-    if given:
-        replace(aux, mo_coefficients=coeff)
+        raise InputError(f"{scheme} needs the MO_COEFF section")
+    if n_orbitals is not None and coeff.shape[1] != n_orbitals:
+        raise InputError(f"MO coefficients have shape {coeff.shape}, "
+                         f"expected {(len(coeff), n_orbitals)}")
     return coeff
 
 
-def _mo_dipoles(coeff, aux: AuxiliaryIntegrals, n_orbitals=None):
-    if aux is None or aux.dipole_ao is None:
-        raise InputError("scheme needs dipole integrals: missing DIPOLE_X/Y/Z sections")
-    coeff = _mo_coefficients(coeff, aux, aux.dipole_ao.shape[1], n_orbitals)
-    return [coeff.T @ aux.dipole_ao[k] @ coeff for k in range(3)]
-
-
-def cost_fb(coeff, aux: AuxiliaryIntegrals, window) -> float:
-    """Dipole-norm form of the Foster-Boys measure: sum_p |<p|r|p>|^2."""
-    mats = np.array(_mo_dipoles(coeff, aux))
-    return _stack_objective(mats, np.ones(3), resolve_window(check_window(window), len(mats[0])))
-
-
-def _population_matrices(coeff, aux: AuxiliaryIntegrals, n_orbitals=None):
-    """Symmetrized per-atom Mulliken population matrices in the MO basis."""
-    if aux is None:
-        raise InputError("scheme needs AO data (overlap, atom map, charges)")
-    for name, value in (
-        ("OVERLAP", aux.ao_overlap),
-        ("AO_ATOM_MAP", aux.ao_to_atom),
-        ("ATOMIC_NUMBERS", aux.atomic_numbers),
-    ):
-        if value is None:
-            raise InputError(f"scheme needs the {name} section")
-    coeff = _mo_coefficients(coeff, aux, len(aux.ao_overlap), n_orbitals)
+def _mo_stack(scheme, aux: AuxiliaryIntegrals, n_orbitals=None):
+    """The (K, N, N) stack FB or PM maximizes with unit weights: the MO
+    dipole matrices, or the symmetrized per-atom Mulliken populations."""
+    coeff = _mo_coefficients(scheme, aux, n_orbitals)
+    if scheme == "fb":
+        return np.array([coeff.T @ aux.dipole_ao[k] @ coeff for k in range(3)])
     sc = aux.ao_overlap @ coeff
-    atoms = sorted(set(aux.ao_to_atom))
-    mats = []
     ao_atom = np.asarray(aux.ao_to_atom)
-    for atom in atoms:
+    mats = []
+    for atom in sorted(set(aux.ao_to_atom)):
         rows = np.flatnonzero(ao_atom == atom)
         half = coeff[rows, :].T @ sc[rows, :]
         mats.append(0.5 * (half + half.T))
-    return atoms, mats
+    return np.array(mats)
+
+
+def _mo_objective(scheme, coeff, aux, window) -> float:
+    mats = _mo_stack(scheme, _checked_aux(scheme, coeff, aux))
+    return _stack_objective(mats, np.ones(len(mats)),
+                            resolve_window(check_window(window), mats.shape[1]))
+
+
+def cost_fb(coeff, aux: AuxiliaryIntegrals, window) -> float:
+    """The FB objective: dipole-norm form sum_{p in window} |<p|r|p>|^2."""
+    return _mo_objective("fb", coeff, aux, window)
 
 
 def cost_pm(coeff, aux: AuxiliaryIntegrals, window) -> float:
-    """Squared-Mulliken-charge sum over atoms.
-
-    Q_A = Z_A - 2 sum_{p in window} (population of p on A): every window
-    orbital counts as doubly occupied.  Invariant under rotations inside
-    the window; see module docstring.
-    """
-    atoms, mats = _population_matrices(coeff, aux)
-    window = list(resolve_window(check_window(window), len(mats[0])))
-    total = 0.0
-    for atom, mat in zip(atoms, mats):
-        z = aux.atomic_numbers[atom]
-        population = float(np.sum(np.diagonal(mat)[window], dtype=np.longdouble))
-        total += (z - 2.0 * population) ** 2
-    return total
+    """The PM objective: sum_{p in window} sum_A (population of p on A)^2."""
+    return _mo_objective("pm", coeff, aux, window)
 
 
 def _er_factors(g):
@@ -253,15 +241,12 @@ def _er_factors(g):
     return pair_stack((vecs[:, keep] / scale[:, np.newaxis]).T, g.shape[0]), weights[keep]
 
 
-def _objective_stack(ham, coeff, aux, scheme):
+def _objective_stack(ham, aux, scheme):
     """The (K, N, N) stack and weights whose objective the scheme maximizes."""
     if scheme == "er":
         return _er_factors(ham.two_body_dense())
-    if scheme == "fb":
-        mats = _mo_dipoles(coeff, aux, ham.n_orbitals)
-    else:
-        _, mats = _population_matrices(coeff, aux, ham.n_orbitals)
-    return np.array(mats, dtype=float), np.ones(len(mats))
+    mats = _mo_stack(scheme, aux, ham.n_orbitals)
+    return mats, np.ones(len(mats))
 
 
 def _stack_objective(mats, weights, window) -> float:
@@ -387,17 +372,15 @@ def _ascend(g, window, request):
     return u, log, converged, iterations
 
 
-def _oao_rotation(ham, coeff, aux):
+def _oao_rotation(ham, aux):
     """The rotation carrying the MO basis onto the Lowdin-orthogonalized AOs."""
-    if aux is None or aux.ao_overlap is None:
-        raise InputError("OAO needs the OVERLAP section")
     s = aux.ao_overlap
     n = ham.n_orbitals
     if len(s) != n:
         raise InputError(f"OAO applies to the full orbital space: {len(s)} AOs for {n} orbitals")
-    orthonormal = np.max(np.abs(s - np.eye(n)), initial=0.0) <= 1e-10
     # orthonormal AOs are the orbitals
-    coeff = _mo_coefficients(coeff, aux, n, n, default=np.eye(n) if orthonormal else None)
+    identity = aux.mo_coefficients is None and np.max(np.abs(s - np.eye(n)), initial=0.0) <= 1e-10
+    coeff = np.eye(n) if identity else _mo_coefficients("oao", aux, n)
     # the nearest orthogonal matrix (polar factor) to C^-1 S^(-1/2)
     w, _, zt = np.linalg.svd(np.linalg.solve(coeff, lowdin_orthogonalize(s)))
     return w @ zt
@@ -411,16 +394,18 @@ def localize(
 ) -> LocalizationResult:
     """Run the requested scheme; rotations act only inside the window.
 
+    A ``coeff`` argument is the MO_COEFF section of ``aux``, by its rules.
     Returns the accumulated rotation (identity outside the window) and
     the Hamiltonian rebuilt in the rotated basis.  Hitting ``max_sweeps``
     returns the best basis found and raises a ConvergenceWarning.
     """
+    aux = _checked_aux(request.scheme, coeff, aux)
     if request.scheme == "oao":  # ignores the window
-        u, log, converged, sweeps = _oao_rotation(ham, coeff, aux), [], True, 0
+        u, log, converged, sweeps = _oao_rotation(ham, aux), [], True, 0
     elif len(window := resolve_window(request.window, ham.n_orbitals)) < 2:
         u, log, converged, sweeps = np.eye(ham.n_orbitals), [], True, 0
     elif request.method == "jacobi":
-        mats, weights = _objective_stack(ham, coeff, aux, request.scheme)
+        mats, weights = _objective_stack(ham, aux, request.scheme)
         u, log, converged, sweeps = _jacobi(mats, weights, window, request)
     else:  # ER: the request refuses ascent for FB and PM
         u, log, converged, sweeps = _ascend(ham.two_body_dense(), window, request)

@@ -167,6 +167,42 @@ def test_freeze_fermi_window(capsys, tmp_path, rng):
         assert (code, out) == (1, "") and ">= 0 orbitals" in err
 
 
+@requires_fixtures
+@pytest.mark.parametrize("lists, named", [
+    (["--frozen", "3", "--active", "0,1"], "--frozen or --active"),
+    (["--active", "0,1"], "--active"),
+    (["--frozen", ""], "--frozen"),
+])
+def test_freeze_fermi_window_refuses_orbital_lists(capsys, lists, named):
+    # the window picks the frozen and active orbitals; lists given beside
+    # it were dropped without a word
+    argv = ["freeze", chain_path(4), "--fermi-window", "2", "--active-electrons", "2", *lists]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: --fermi-window picks the frozen and active orbitals; "
+                   f"it cannot be combined with {named}\n")
+
+
+@requires_fixtures
+@pytest.mark.parametrize("scheme, section", [("fb", "DIPOLE_X/Y/Z"), ("pm", "OVERLAP")])
+def test_a_window_of_one_still_needs_the_schemes_sections(capsys, scheme, section):
+    # nothing to rotate, but the missing aux file is still an input error
+    code, out, err = invoke(capsys, "localize", chain_path(4), "--scheme", scheme,
+                            "--window", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {scheme} needs the {section} section\n"
+
+
+def test_impossible_electron_counts_are_input_errors(capsys, tmp_path):
+    # NELEC outside 0..2 NORB: norm read it, and freeze blamed the window
+    for nelec, argv in ((-6, ["norm"]), (9, ["freeze", "--fermi-window", "1"])):
+        path = tmp_path / f"nelec{nelec}.fcidump"
+        path.write_text(f" &FCI NORB=2,NELEC={nelec}, &END\n0.5 1 1 1 1\n")
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == f"error: NELEC={nelec} is outside 0..4: 2 orbitals hold at most 4 electrons\n"
+
+
 def test_localize_and_reapply_rotation(capsys, tmp_path, small_fcidump):
     path, ham = small_fcidump
     rot_path = tmp_path / "rot.txt"

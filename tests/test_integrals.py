@@ -187,6 +187,21 @@ def test_hamiltonian_validation_errors():
         )
 
 
+@pytest.mark.parametrize("nelec", [-6, -1, 5, 9])
+def test_electron_count_must_fit_the_orbitals(nelec):
+    # two spatial orbitals hold 0..4 electrons, for library callers and
+    # parsed files alike
+    zeros = dict(n_orbitals=2, core_constant=0.0, one_body=np.zeros((2, 2)),
+                 two_body=np.zeros((2,) * 4))
+    message = f"NELEC={nelec} is outside 0..4"
+    with pytest.raises(InputError, match=message):
+        MolecularHamiltonian(**zeros, n_electrons=nelec)
+    with pytest.raises(InputError, match=message):
+        parse_fcidump(f" &FCI NORB=2,NELEC={nelec},\n &END\n0.5 1 1 1 1\n")
+    for fits in (None, 0, 4):
+        assert MolecularHamiltonian(**zeros, n_electrons=fits).n_electrons == fits
+
+
 def test_arrays_are_immutable(rng):
     ham = random_hamiltonian(2, rng)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -24,7 +25,6 @@ from conftest import (
     givens_rotation,
     random_aux,
     random_hamiltonian,
-    random_orthogonal,
     random_psd_hamiltonian,
     requires_fixtures,
 )
@@ -94,38 +94,29 @@ def test_cost_functions_check_their_window(rng):
         assert cost(c, aux, window=None) == cost(c, aux, window=(0, 1, 2))
 
 
-def test_cost_pm_single_atom_fully_occupied():
-    # one atom with Z=2, one orbital entirely on it, doubly counted
-    aux = AuxiliaryIntegrals(
-        ao_overlap=np.eye(1),
-        mo_coefficients=np.eye(1),
-        ao_to_atom=[0],
-        atomic_numbers=[2.0],
-    )
-    assert cost_pm(np.eye(1), aux, window=(0,)) == pytest.approx(0.0, abs=1e-15)
+def test_cost_pm_is_the_pipek_mezey_functional():
+    # two atoms, one AO each; no ATOMIC_NUMBERS section: PM reads no charges
+    c = np.array([[1.0, 1.0], [1.0, -1.0]]) * 2.0**-0.5
+    aux = AuxiliaryIntegrals(ao_overlap=np.eye(2), ao_to_atom=[0, 1])
+    # each orbital half on each atom: sum_p sum_A (1/2)^2
+    assert cost_pm(c, aux, window=(0,)) == pytest.approx(0.5, abs=1e-15)
+    assert cost_pm(c, aux, window=None) == pytest.approx(1.0, abs=1e-15)
+    # each orbital wholly on one atom: the maximum, one per orbital
+    assert cost_pm(np.eye(2), aux, window=None) == 2.0
 
 
-def test_cost_pm_shared_orbital_between_identical_atoms():
-    # one orbital split evenly over two atoms: Q_A = Z - 1 each
-    z = 3.0
-    c = np.array([[2.0**-0.5], [2.0**-0.5]])
-    aux = AuxiliaryIntegrals(
-        ao_overlap=np.eye(2),
-        mo_coefficients=c,
-        ao_to_atom=[0, 1],
-        atomic_numbers=[z, z],
-    )
-    assert cost_pm(c, aux, window=(0,)) == pytest.approx(2 * (z - 1) ** 2, abs=1e-12)
-
-
-def test_cost_pm_invariant_under_window_rotation(rng):
-    # the aggregate charge form cannot change under window rotations
+def test_cost_pm_scores_the_pm_jacobi_result(rng):
+    # the logged objective is cost_pm at the rotated coefficients, and
+    # Jacobi does not lower it
+    ham = random_hamiltonian(4, rng)
     aux = random_aux(4, rng)
     c = aux.mo_coefficients
-    before = cost_pm(c, aux, window=(0, 1, 2, 3))
-    rot = random_orthogonal(4, rng).matrix
-    after = cost_pm(c @ rot, aux, window=(0, 1, 2, 3))
-    assert after == pytest.approx(before, abs=1e-10)
+    window = (0, 1, 3)
+    result = localize(ham, c, aux, LocalizationRequest(scheme="pm", window=window))
+    after = cost_pm(c @ result.rotation.matrix, aux, window)
+    assert after == pytest.approx(result.objective_per_sweep[-1], abs=1e-10)
+    assert result.objective_per_sweep[0] == pytest.approx(cost_pm(c, aux, window), abs=1e-12)
+    assert after >= cost_pm(c, aux, window) - 1e-12
 
 
 def test_localize_stationary_returns_same_object(rng):
@@ -251,14 +242,15 @@ def test_oao_requires_overlap(rng):
     ham = random_hamiltonian(3, rng)
     with pytest.raises(InputError, match="OVERLAP"):
         localize(ham, None, None, LocalizationRequest(scheme="oao"))
-    with pytest.raises(InputError, match="MO coefficients"):
+    with pytest.raises(InputError, match="oao needs the MO_COEFF section"):
         aux = AuxiliaryIntegrals(ao_overlap=np.diag([1.0, 2.0, 3.0]))
         localize(ham, None, aux, LocalizationRequest(scheme="oao"))
 
 
-@pytest.mark.parametrize("scheme", ["fb", "pm", "oao"])
+@pytest.mark.parametrize("scheme", ["fb", "pm", "oao", "er"])
 def test_a_coeff_argument_must_be_s_orthonormal(rng, scheme):
-    # the argument passes the rule of the record's own MO_COEFF section
+    # the argument passes the rule of the record's own MO_COEFF section,
+    # for every scheme, ER (which reads no AO data) included
     ham = random_hamiltonian(4, rng)
     aux = random_aux(4, rng)
     with pytest.raises(InputError, match="not S-orthonormal"):
@@ -272,11 +264,49 @@ def test_er_scheme_needs_no_aux(rng):
 
 def test_fb_scheme_missing_aux_errors(rng):
     ham = random_hamiltonian(3, rng)
-    with pytest.raises(InputError, match="DIPOLE"):
+    with pytest.raises(InputError, match="fb needs the DIPOLE_X/Y/Z section"):
         localize(ham, None, AuxiliaryIntegrals(ao_overlap=np.eye(3)),
                  LocalizationRequest(scheme="fb"))
-    with pytest.raises(InputError, match="scheme needs AO data"):
+    with pytest.raises(InputError, match="pm needs the OVERLAP section"):
         localize(ham, None, None, LocalizationRequest(scheme="pm"))
+
+
+@pytest.mark.parametrize("window", [None, (1,), ()])
+def test_a_missing_section_is_one_message_for_every_window(rng, window):
+    # "<scheme> needs the <SECTION> section", checked before the window
+    # decides whether there is anything to rotate
+    ham = random_hamiltonian(3, rng)
+    full = random_aux(3, rng)
+    missing = [
+        ("fb", AuxiliaryIntegrals(ao_overlap=np.eye(3)), "DIPOLE_X/Y/Z"),
+        ("pm", None, "OVERLAP"),
+        ("pm", AuxiliaryIntegrals(ao_overlap=np.eye(3)), "AO_ATOM_MAP"),
+        ("oao", None, "OVERLAP"),
+        ("fb", dataclasses.replace(full, mo_coefficients=None), "MO_COEFF"),
+        ("pm", dataclasses.replace(full, mo_coefficients=None), "MO_COEFF"),
+    ]
+    for scheme, aux, section in missing:
+        with pytest.raises(InputError, match=f"^{scheme} needs the {section} section$"):
+            localize(ham, None, aux, LocalizationRequest(scheme=scheme, window=window))
+
+
+@requires_fixtures
+def test_pm_reads_no_atomic_numbers():
+    # H4 STO-3G: the same basis with and without the ATOMIC_NUMBERS section,
+    # and with the MO_COEFF section passed as the coeff argument
+    from onenorm import parse_auxiliary, parse_fcidump
+
+    ham = parse_fcidump(open(chain_path(4)).read())
+    aux = parse_auxiliary(open(chain_path(4).replace("_cmo.fcidump", "_aux.txt")).read())
+    assert aux.atomic_numbers is not None
+    request = LocalizationRequest(scheme="pm")
+    runs = [localize(ham, None, aux, request),
+            localize(ham, None, dataclasses.replace(aux, atomic_numbers=None), request),
+            localize(ham, aux.mo_coefficients, aux, request)]
+    for result in runs:
+        assert np.array_equal(result.rotation.matrix, runs[0].rotation.matrix)
+        assert result.sweeps == 2
+        assert lambda_q(result.hamiltonian) == pytest.approx(3.725186236838402, rel=1e-12)
 
 
 def test_nonconvergence_warns_and_flags(rng):
@@ -376,7 +406,7 @@ def _chain_er_stack(n):
     from onenorm.localize import _objective_stack
 
     ham = parse_fcidump(open(chain_path(n)).read())
-    return (ham, *_objective_stack(ham, None, None, "er"))
+    return (ham, *_objective_stack(ham, None, "er"))
 
 
 @requires_fixtures
