@@ -6,7 +6,8 @@ lines ``value i j k l`` with 1-based indices in chemist ordering (ij|kl).
 ORBSYM/ISYM/MS2 are accepted and ignored.
 
 Auxiliary data uses a plain labeled format: ``#SECTION <name> <rows> <cols>``
-followed by whitespace-separated row-major values.
+followed by whitespace-separated row-major values.  ATOMIC_NUMBERS is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .integrals import (
     AuxiliaryIntegrals,
     MolecularHamiltonian,
     from_pair_matrix,
+    known_electron_count,
     pair_index,
     pair_matrix,
 )
@@ -229,10 +231,11 @@ def write_fcidump(ham: MolecularHamiltonian) -> str:
     constant; entries of magnitude 1e-12 or less read back as zero.  The
     upper triangle of h is rebuilt from the lower one, so all of h
     round-trips, because the ``MolecularHamiltonian`` constructor makes h
-    exactly symmetric.
+    exactly symmetric.  A Hamiltonian with no electron count is refused,
+    since NELEC is a required field.
     """
     n = ham.n_orbitals
-    nelec = ham.n_electrons if ham.n_electrons is not None else 0
+    nelec = known_electron_count(ham.n_electrons)
     out = [
         f" &FCI NORB={n},NELEC={nelec},MS2=0,\n",
         "  ORBSYM=" + "1," * n + "\n",
@@ -255,15 +258,7 @@ def write_fcidump(ham: MolecularHamiltonian) -> str:
     return "".join(out)
 
 
-_AUX_SECTIONS = (
-    "OVERLAP",
-    "MO_COEFF",
-    "DIPOLE_X",
-    "DIPOLE_Y",
-    "DIPOLE_Z",
-    "AO_ATOM_MAP",
-    "ATOMIC_NUMBERS",
-)
+_AUX_SECTIONS = ("OVERLAP", "MO_COEFF", "DIPOLE_X", "DIPOLE_Y", "DIPOLE_Z", "AO_ATOM_MAP")
 
 
 def _split_sections(lines: list[str]) -> dict[str, np.ndarray]:
@@ -314,10 +309,11 @@ def parse_auxiliary(text: str) -> AuxiliaryIntegrals:
     """Parse labeled-section auxiliary text into AuxiliaryIntegrals.
 
     Checks the section syntax and stacks DIPOLE_X/Y/Z; the constructor
-    checks the values.
+    checks the values.  An ATOMIC_NUMBERS section passes the syntax checks
+    and is dropped: no scheme reads it.
     """
     sections = _split_sections(text.splitlines())
-    unknown = [name for name in sections if name not in _AUX_SECTIONS]
+    unknown = [name for name in sections if name not in (*_AUX_SECTIONS, "ATOMIC_NUMBERS")]
     if unknown:
         raise InputError(f"unknown section name {unknown[0]!r}")
     dipoles = [sections.get(f"DIPOLE_{axis}") for axis in "XYZ"]
@@ -326,17 +322,11 @@ def parse_auxiliary(text: str) -> AuxiliaryIntegrals:
         raise InputError("DIPOLE_X, DIPOLE_Y and DIPOLE_Z must be given together "
                          "and have one shape")
 
-    def vector(name):
-        arr = sections.get(name)
-        if arr is None:
-            return None
-        return arr.reshape(-1)
-
+    atoms = sections.get("AO_ATOM_MAP")
     return AuxiliaryIntegrals(
         ao_overlap=sections.get("OVERLAP"),
         mo_coefficients=sections.get("MO_COEFF"),
-        ao_to_atom=vector("AO_ATOM_MAP"),
-        atomic_numbers=vector("ATOMIC_NUMBERS"),
+        ao_to_atom=None if atoms is None else atoms.reshape(-1),
         dipole_ao=np.stack(present) if present else None,
     )
 
@@ -372,6 +362,6 @@ def write_auxiliary(aux: AuxiliaryIntegrals) -> str:
     """Serialize AuxiliaryIntegrals back to the labeled-section format."""
     dipoles = [None] * 3 if aux.dipole_ao is None else list(aux.dipole_ao)
     sections = zip(_AUX_SECTIONS, (aux.ao_overlap, aux.mo_coefficients, *dipoles,
-                                   aux.ao_to_atom, aux.atomic_numbers))
+                                   aux.ao_to_atom))
     return "".join(write_labeled_matrix(name, value)  # a vector is one row
                    for name, value in sections if value is not None)

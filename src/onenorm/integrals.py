@@ -118,6 +118,28 @@ def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
     return filled
 
 
+def integer_tuple(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; InputError naming the first entry
+    that is not a whole number (an integral float such as 2.0 is one)."""
+    out = []
+    for value in values.tolist() if isinstance(values, np.ndarray) else values:
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = np.nan
+        if not number.is_integer():
+            raise InputError(f"{name} entries must be integers, got {value!r}")
+        out.append(int(number))
+    return tuple(out)
+
+
+def known_electron_count(n_electrons) -> int:
+    """``n_electrons``, which must be known: None is an InputError."""
+    if n_electrons is None:
+        raise InputError("the Hamiltonian has no electron count (NELEC)")
+    return n_electrons
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """Read-only float64 copy of ``arr``."""
     out = np.array(arr, dtype=float, copy=True)
@@ -200,22 +222,22 @@ class AuxiliaryIntegrals:
 
     Every field is optional; each scheme validates what it needs.  The
     constructor checks, for parsed files and library callers alike, that
-    entries are finite, atom-map entries integers, S non-empty and positive
-    definite, all fields imply one AO count, and C^T S C = I given S and C.
+    entries are finite, atom-map entries non-negative integers, S square,
+    symmetric, non-empty and positive definite, all fields imply one AO
+    count, and C^T S C = I given S and C.  These are the package's one
+    statement of the AO rules: ``lowdin_orthogonalize`` reads S through
+    them too.
     """
 
     ao_overlap: np.ndarray | None = None
     mo_coefficients: np.ndarray | None = None
     ao_to_atom: tuple[int, ...] | None = None
-    atomic_numbers: tuple[float, ...] | None = None
     dipole_ao: np.ndarray | None = None  # stacked (3, M, M)
 
     def __post_init__(self):
         if self.ao_to_atom is not None:
-            atoms = np.asarray(self.ao_to_atom, dtype=float)
-            if not np.all(np.isfinite(atoms) & (atoms == np.round(atoms))):
-                raise InputError("AO_ATOM_MAP entries must be integers")
-        for name in ("ao_overlap", "mo_coefficients", "dipole_ao", "atomic_numbers"):
+            object.__setattr__(self, "ao_to_atom", integer_tuple(self.ao_to_atom, "AO_ATOM_MAP"))
+        for name in ("ao_overlap", "mo_coefficients", "dipole_ao"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
                 raise InputError(f"{name} contains non-finite entries")
@@ -247,26 +269,13 @@ class AuxiliaryIntegrals:
             object.__setattr__(self, "dipole_ao", d)
             implied.append(("DIPOLE", d.shape[1]))
         if self.ao_to_atom is not None:
-            object.__setattr__(self, "ao_to_atom", tuple(int(a) for a in self.ao_to_atom))
             implied.append(("AO_ATOM_MAP", len(self.ao_to_atom)))
-        if self.atomic_numbers is not None:
-            object.__setattr__(
-                self, "atomic_numbers", tuple(float(z) for z in self.atomic_numbers)
-            )
         for name, count in implied:
             if count != implied[0][1]:
                 raise InputError(f"{name} implies {count} AOs, other sections imply "
                                  f"{implied[0][1]}")
-        if self.ao_to_atom is not None:
-            if self.atomic_numbers is not None:
-                n_atoms = len(self.atomic_numbers)
-                if self.ao_to_atom and max(self.ao_to_atom) >= n_atoms:
-                    raise InputError(
-                        f"AO_ATOM_MAP references atom {max(self.ao_to_atom)} but only "
-                        f"{n_atoms} atomic numbers are given"
-                    )
-            if any(a < 0 for a in self.ao_to_atom):
-                raise InputError("AO_ATOM_MAP entries must be non-negative")
+        if self.ao_to_atom is not None and any(a < 0 for a in self.ao_to_atom):
+            raise InputError("AO_ATOM_MAP entries must be non-negative")
         if s is not None and c is not None:
             gram = c.T @ s @ c
             err = np.max(np.abs(gram - np.eye(c.shape[1])), initial=0.0)
@@ -283,8 +292,8 @@ class ActiveSpaceSpec:
     n_active_electrons: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "frozen", tuple(int(i) for i in self.frozen))
-        object.__setattr__(self, "active", tuple(int(i) for i in self.active))
+        object.__setattr__(self, "frozen", integer_tuple(self.frozen, "frozen"))
+        object.__setattr__(self, "active", integer_tuple(self.active, "active"))
 
     @classmethod
     def around_fermi(cls, n_orbitals, n_electrons, n_active_orbitals,
@@ -295,9 +304,9 @@ class ActiveSpaceSpec:
         (n_electrons - n_active_electrons) / 2 doubly occupied orbitals are
         frozen, the next ``n_active_orbitals`` form the active space, and
         the highest virtuals are deleted.  Degenerate levels are split by
-        index order.
+        index order.  An unknown ``n_electrons`` (None) is an InputError.
         """
-        n_frozen_elec = n_electrons - n_active_electrons
+        n_frozen_elec = known_electron_count(n_electrons) - n_active_electrons
         if n_frozen_elec < 0 or n_frozen_elec % 2:
             raise InputError(
                 f"cannot freeze {n_frozen_elec} electrons; the frozen count "

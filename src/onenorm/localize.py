@@ -53,7 +53,8 @@ from scipy.linalg import expm
 
 from .errors import ConvergenceWarning, InputError
 from .integrals import (
-    AuxiliaryIntegrals, MolecularHamiltonian, pair_matrix, pair_stack, symmetrize_two_body,
+    AuxiliaryIntegrals, MolecularHamiltonian, integer_tuple, pair_matrix, pair_stack,
+    symmetrize_two_body,
 )
 from .transform import (
     OrbitalRotation,
@@ -80,7 +81,7 @@ def check_window(window) -> tuple[int, ...] | None:
     """``window`` as a tuple of distinct orbital indices; None means all."""
     if window is None:
         return None
-    window = tuple(int(i) for i in window)
+    window = integer_tuple(window, "window")
     if len(set(window)) != len(window):
         raise InputError("window indices must be distinct")
     return window
@@ -179,12 +180,10 @@ def _checked_aux(scheme, coeff, aux):
     return aux
 
 
-def _mo_coefficients(scheme, aux: AuxiliaryIntegrals, n_orbitals=None):
+def _mo_coefficients(aux: AuxiliaryIntegrals, n_orbitals=None):
     """The MO_COEFF section, checked to have ``n_orbitals`` columns (any
     count when that is None); its rows match the other sections' AOs."""
     coeff = aux.mo_coefficients
-    if coeff is None:
-        raise InputError(f"{scheme} needs the MO_COEFF section")
     if n_orbitals is not None and coeff.shape[1] != n_orbitals:
         raise InputError(f"MO coefficients have shape {coeff.shape}, "
                          f"expected {(len(coeff), n_orbitals)}")
@@ -194,7 +193,7 @@ def _mo_coefficients(scheme, aux: AuxiliaryIntegrals, n_orbitals=None):
 def _mo_stack(scheme, aux: AuxiliaryIntegrals, n_orbitals=None):
     """The (K, N, N) stack FB or PM maximizes with unit weights: the MO
     dipole matrices, or the symmetrized per-atom Mulliken populations."""
-    coeff = _mo_coefficients(scheme, aux, n_orbitals)
+    coeff = _mo_coefficients(aux, n_orbitals)
     if scheme == "fb":
         return np.array([coeff.T @ aux.dipole_ao[k] @ coeff for k in range(3)])
     sc = aux.ao_overlap @ coeff
@@ -378,9 +377,12 @@ def _oao_rotation(ham, aux):
     n = ham.n_orbitals
     if len(s) != n:
         raise InputError(f"OAO applies to the full orbital space: {len(s)} AOs for {n} orbitals")
-    # orthonormal AOs are the orbitals
-    identity = aux.mo_coefficients is None and np.max(np.abs(s - np.eye(n)), initial=0.0) <= 1e-10
-    coeff = np.eye(n) if identity else _mo_coefficients("oao", aux, n)
+    if aux.mo_coefficients is not None:
+        coeff = _mo_coefficients(aux, n)
+    elif np.max(np.abs(s - np.eye(n)), initial=0.0) <= 1e-10:
+        coeff = np.eye(n)  # orthonormal AOs are the orbitals
+    else:
+        raise InputError("oao needs the MO_COEFF section")
     # the nearest orthogonal matrix (polar factor) to C^-1 S^(-1/2)
     w, _, zt = np.linalg.svd(np.linalg.solve(coeff, lowdin_orthogonalize(s)))
     return w @ zt

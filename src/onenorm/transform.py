@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InputError, NumericalError
-from .integrals import ActiveSpaceSpec, MolecularHamiltonian
+from .integrals import ActiveSpaceSpec, AuxiliaryIntegrals, MolecularHamiltonian
 
 __all__ = [
     "OrbitalRotation",
@@ -203,16 +203,11 @@ def freeze_core(
 
 
 def lowdin_orthogonalize(overlap: np.ndarray) -> np.ndarray:
-    """S^(-1/2) by symmetric eigendecomposition; errors on near-singular S."""
-    s = np.asarray(overlap, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise InputError("overlap matrix must be square")
-    if np.max(np.abs(s - s.T), initial=0.0) > 1e-10:
-        raise InputError("overlap matrix must be symmetric")
-    eigenvalues, vectors = np.linalg.eigh(s)
-    if eigenvalues.min() < 1e-10:
-        raise NumericalError(
-            f"near-singular overlap (smallest eigenvalue {eigenvalues.min():.3e})"
-        )
+    """S^(-1/2) by symmetric eigendecomposition.
+
+    S is read by the ``AuxiliaryIntegrals`` overlap rules, so an empty,
+    non-square, asymmetric or not positive definite S is an InputError.
+    """
+    eigenvalues, vectors = np.linalg.eigh(AuxiliaryIntegrals(ao_overlap=overlap).ao_overlap)
     inv_sqrt = vectors @ np.diag(eigenvalues**-0.5) @ vectors.T
     return 0.5 * (inv_sqrt + inv_sqrt.T)

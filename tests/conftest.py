@@ -32,7 +32,8 @@ requires_fixtures = pytest.mark.skipif(
 
 
 def random_hamiltonian(n, rng, core=None, scale=1.0):
-    """8-fold-symmetric instance: one draw per canonical tuple, then filled."""
+    """8-fold-symmetric instance: one draw per canonical tuple, then filled;
+    N electrons, so that it can be written as FCIDUMP."""
     h = rng.standard_normal((n, n)) * scale
     h = 0.5 * (h + h.T)
     # canonical tuples (p>=q, r>=s, pair(pq)>=pair(rs)) in lexicographic order
@@ -50,12 +51,12 @@ def random_hamiltonian(n, rng, core=None, scale=1.0):
         core = float(rng.standard_normal())
     return MolecularHamiltonian(
         n_orbitals=n, core_constant=core, one_body=h,
-        two_body=from_pair_matrix(pair_matrix(g)[2], n),
+        two_body=from_pair_matrix(pair_matrix(g)[2], n), n_electrons=n,
     )
 
 
 def random_psd_hamiltonian(n, rng, rank=None, core=0.0):
-    """Instance whose two-body tensor is PSD as the (pq),(rs) matrix."""
+    """Instance whose two-body tensor is PSD as the (pq),(rs) matrix; N electrons."""
     rank = rank if rank is not None else n * (n + 1) // 2
     g = np.zeros((n, n, n, n))
     for _ in range(rank):
@@ -64,7 +65,7 @@ def random_psd_hamiltonian(n, rng, rank=None, core=0.0):
         g += np.einsum("pq,rs->pqrs", vec, vec)
     h = rng.standard_normal((n, n))
     h = 0.5 * (h + h.T)
-    return MolecularHamiltonian.from_dense(core, h, g)
+    return MolecularHamiltonian.from_dense(core, h, g, n_electrons=n)
 
 
 def random_orthogonal(n, rng):
@@ -101,7 +102,6 @@ def random_aux(n, rng, n_atoms=2):
         ao_overlap=s,
         mo_coefficients=c,
         ao_to_atom=[i % n_atoms for i in range(n)],
-        atomic_numbers=[1.0 + (i % 3) for i in range(n_atoms)],
         dipole_ao=np.stack(dipoles),
     )
 

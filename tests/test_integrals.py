@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from onenorm import (
     ActiveSpaceSpec,
     AuxiliaryIntegrals,
+    LocalizationRequest,
     MolecularHamiltonian,
+    OptimizerConfig,
     class_decomposition,
     freeze_core,
     parse_fcidump,
@@ -14,6 +17,7 @@ from onenorm import (
     write_fcidump,
 )
 from onenorm.errors import InputError
+from onenorm.localize import check_window
 from onenorm.integrals import CLASS_NAMES, SYMMETRY_TOL, pair_index, symmetrize_two_body
 
 from conftest import random_hamiltonian, random_orthogonal
@@ -202,6 +206,34 @@ def test_electron_count_must_fit_the_orbitals(nelec):
         assert MolecularHamiltonian(**zeros, n_electrons=fits).n_electrons == fits
 
 
+def test_an_unknown_electron_count_is_refused_where_it_is_needed():
+    # None means unknown: it is neither written as NELEC=0 nor used as a count
+    ham = MolecularHamiltonian.from_dense(0.0, np.eye(2), np.zeros((2,) * 4))
+    assert ham.n_electrons is None
+    message = "^the Hamiltonian has no electron count \\(NELEC\\)$"
+    with pytest.raises(InputError, match=message):
+        write_fcidump(ham)
+    with pytest.raises(InputError, match=message):
+        ActiveSpaceSpec.around_fermi(2, None, 2, 2)
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (lambda: LocalizationRequest(scheme="er", window=(0.2, 1.9)), "window", "0.2"),
+    (lambda: OptimizerConfig(window=(True, 2.9)), "window", "2.9"),
+    (lambda: check_window(["1", "x"]), "window", "'x'"),
+    (lambda: ActiveSpaceSpec(frozen=(), active=(0.5, 1.7)), "active", "0.5"),
+    (lambda: ActiveSpaceSpec(frozen=(1.5,), active=(0,)), "frozen", "1.5"),
+    (lambda: AuxiliaryIntegrals(ao_to_atom=np.array([0.0, 0.5])), "AO_ATOM_MAP", "0.5"),
+], ids=["request", "config", "string", "active", "frozen", "atom-map"])
+def test_orbital_index_lists_hold_integers(make, name, value):
+    # one rule: a fractional index is refused, not cut down to an integer
+    message = f"^{name} entries must be integers, got {re.escape(value)}$"
+    with pytest.raises(InputError, match=message):
+        make()
+    assert ActiveSpaceSpec(frozen=(0.0,), active=np.arange(1, 3)).active == (1, 2)
+    assert check_window(["1", 2.0]) == (1, 2)
+
+
 def test_arrays_are_immutable(rng):
     ham = random_hamiltonian(2, rng)
     with pytest.raises(ValueError):
@@ -359,10 +391,8 @@ def test_auxiliary_orthonormality_enforced():
 def test_auxiliary_dimension_cross_checks():
     with pytest.raises(InputError, match="AOs"):
         AuxiliaryIntegrals(ao_overlap=np.eye(2), ao_to_atom=[0, 0, 1])
-    with pytest.raises(InputError, match="atom"):
-        AuxiliaryIntegrals(ao_to_atom=[0, 3], atomic_numbers=[1.0, 1.0])
     with pytest.raises(InputError, match="non-negative"):
-        AuxiliaryIntegrals(ao_to_atom=[-1, 0], atomic_numbers=[1.0, 1.0])
+        AuxiliaryIntegrals(ao_to_atom=[-1, 0])
     with pytest.raises(InputError, match="must be 2-D"):
         AuxiliaryIntegrals(mo_coefficients=np.ones(2))
     with pytest.raises(InputError, match=r"stacked \(3, M, M\)"):

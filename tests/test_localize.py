@@ -292,16 +292,19 @@ def test_a_missing_section_is_one_message_for_every_window(rng, window):
 
 @requires_fixtures
 def test_pm_reads_no_atomic_numbers():
-    # H4 STO-3G: the same basis with and without the ATOMIC_NUMBERS section,
+    # H4 STO-3G: the aux text with and without its ATOMIC_NUMBERS section,
     # and with the MO_COEFF section passed as the coeff argument
-    from onenorm import parse_auxiliary, parse_fcidump
+    from onenorm import parse_auxiliary, parse_fcidump, write_auxiliary
 
     ham = parse_fcidump(open(chain_path(4)).read())
-    aux = parse_auxiliary(open(chain_path(4).replace("_cmo.fcidump", "_aux.txt")).read())
-    assert aux.atomic_numbers is not None
+    text = open(chain_path(4).replace("_cmo.fcidump", "_aux.txt")).read()
+    head, section, tail = text.partition("#SECTION ATOMIC_NUMBERS 1 4\n")
+    assert section and tail.count("\n") == 1  # the last section: one row
+    aux = parse_auxiliary(text)
+    assert write_auxiliary(parse_auxiliary(head)) == write_auxiliary(aux)
     request = LocalizationRequest(scheme="pm")
     runs = [localize(ham, None, aux, request),
-            localize(ham, None, dataclasses.replace(aux, atomic_numbers=None), request),
+            localize(ham, None, parse_auxiliary(head), request),
             localize(ham, aux.mo_coefficients, aux, request)]
     for result in runs:
         assert np.array_equal(result.rotation.matrix, runs[0].rotation.matrix)

@@ -129,7 +129,7 @@ def test_n4_passes_are_memory_bounded(rng):
     dense = (factors.T @ factors).reshape(n, n, n, n)
     h = rng.standard_normal((n, n))
     h = h + h.T
-    ham = MolecularHamiltonian.from_dense(0.0, h, dense)
+    ham = MolecularHamiltonian.from_dense(0.0, h, dense, n_electrons=n)
     rotation = random_orthogonal(n, rng)
     text = write_fcidump(ham)
     at_start = (np.zeros(n * (n - 1) // 2), range(n), (OrbitalRotation.identity(n), ham))

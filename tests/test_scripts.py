@@ -22,4 +22,4 @@ def test_fixture_generator_output_reproduces_through_parse_and_write(tmp_path):
         assert ham.n_orbitals == n
         assert write_fcidump(ham) == text
         aux = parse_auxiliary((tmp_path / f"hchain_{n:02d}_sto3g_aux.txt").read_text())
-        assert aux.ao_overlap.shape == (n, n) and aux.atomic_numbers == (1.0,) * n
+        assert aux.ao_overlap.shape == (n, n) and aux.ao_to_atom == tuple(range(n))

@@ -6,6 +6,7 @@ import pytest
 from onenorm import (
     ActiveSpaceSpec,
     AntisymmetricGenerator,
+    AuxiliaryIntegrals,
     MolecularHamiltonian,
     OrbitalRotation,
     determinant_expectation,
@@ -367,6 +368,22 @@ def test_lowdin_random_spd(rng):
 
 
 def test_lowdin_near_singular_raises():
+    # S is read by the AuxiliaryIntegrals rules: a near-singular S is bad input
     s = np.diag([1.0, 1e-12])
-    with pytest.raises(NumericalError, match="near-singular"):
+    with pytest.raises(InputError, match="^overlap not positive definite$"):
         lowdin_orthogonalize(s)
+
+
+@pytest.mark.parametrize("overlap", [
+    np.zeros((0, 0)),
+    np.eye(3)[:2],
+    np.array([[1.0, 0.1], [0.0, 1.0]]),
+    np.array([[1.0, 2.0], [2.0, 1.0]]),
+    np.diag([1.0, 1e-11]),
+], ids=["empty", "non-square", "asymmetric", "indefinite", "near-singular"])
+def test_lowdin_reads_the_overlap_by_the_record_rules(overlap):
+    with pytest.raises(InputError) as record_error:
+        AuxiliaryIntegrals(ao_overlap=overlap)
+    with pytest.raises(InputError) as lowdin_error:
+        lowdin_orthogonalize(overlap)
+    assert str(lowdin_error.value) == str(record_error.value)
