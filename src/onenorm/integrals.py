@@ -12,7 +12,9 @@ hold exactly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,11 +46,36 @@ def pair_index(p, q):
     return hi * (hi + 1) // 2 + lo
 
 
-def _pair_order(n: int):
-    """``(flat, p, q)``: the pairs p>=q row by row, which is pair order;
-    flat = p * N + q indexes a row of g reshaped to (N^2, N^2)."""
+IndexPlan = namedtuple("IndexPlan", "flat p q spread rows cols bra ket swapped")
+
+
+@lru_cache(maxsize=16)
+def index_plan(n: int) -> IndexPlan:
+    """Every index array the layers read for N orbitals, built once per N.
+
+    Each array is read-only and has O(N^2) entries; no N^4 index is kept.
+
+    flat, p, q          the pairs p>=q row by row, which is pair order;
+                        flat = p * N + q indexes a row of g reshaped to
+                        (N^2, N^2)
+    spread              the pair index of each flat (p, q), over all N^2
+    rows, cols          the strict upper triangle, row by row
+    bra, ket, swapped   the p>r, s>q quarter that lambda_V' sums over, as
+                        offsets into g.reshape(-1): bra = p N^3 + r N over
+                        p>r, shape (M, 1), and ket = q N^2 + s and
+                        swapped = s N^2 + q over s>q, so that bra + ket
+                        indexes g_pqrs and bra + swapped g_psrq
+    """
     flat = np.flatnonzero(np.tri(n, dtype=bool))
-    return (flat, *np.divmod(flat, n))
+    p, q = np.divmod(flat, n)
+    spread = pair_index(*np.indices((n, n)).reshape(2, -1))
+    rows, cols = np.triu_indices(n, 1)
+    hi, lo = np.tril_indices(n, -1)
+    plan = IndexPlan(flat, p, q, spread, rows, cols, (hi * n**3 + lo * n)[:, None],
+                     rows * n**2 + cols, cols * n**2 + rows)
+    for array in plan:
+        array.setflags(write=False)
+    return plan
 
 
 def pair_matrix(g: np.ndarray):
@@ -59,7 +86,7 @@ def pair_matrix(g: np.ndarray):
     the canonical entries are G[a, b] with a >= b.
     """
     n = g.shape[0]
-    flat, p, q = _pair_order(n)
+    flat, p, q, *_ = index_plan(n)
     return p, q, np.take(np.take(g.reshape(n * n, n * n), flat, axis=0), flat, axis=1)
 
 
@@ -69,7 +96,7 @@ def from_pair_matrix(pairs: np.ndarray, n: int) -> np.ndarray:
     Values are copied, never combined, so the result is its own fill.
     """
     pairs = np.where(np.tri(len(pairs), dtype=bool), pairs, pairs.T)
-    spread = pair_index(*np.indices((n, n)).reshape(2, -1))
+    spread = index_plan(n).spread
     out = np.take(np.take(pairs, spread, axis=0), spread, axis=1)
     out.setflags(write=False)
     return out.reshape(n, n, n, n)
@@ -78,7 +105,7 @@ def from_pair_matrix(pairs: np.ndarray, n: int) -> np.ndarray:
 def pair_stack(rows: np.ndarray, n: int) -> np.ndarray:
     """(K, N, N) symmetric matrices spread from K rows over the pairs of
     ``pair_matrix``: M_k[p, q] = M_k[q, p] = rows[k, pair(p, q)]."""
-    _, p, q = _pair_order(n)
+    _, p, q, *_ = index_plan(n)
     mats = np.zeros((len(rows), n, n))
     mats[:, p, q] = mats[:, q, p] = rows
     return mats
@@ -153,11 +180,11 @@ class MolecularHamiltonian:
 
     All energies in Hartree.  Instances are immutable; the arrays are
     flagged read-only so they can be shared freely.  ``n_electrons``, if
-    given, is in 0..2N.  The constructor is the one place where h and g
-    become exactly symmetric: h must be symmetric to 1e-12 max(1, max|h|)
-    and is stored as 1/2 (h + h^T), and one ``symmetrize_two_body`` call
-    checks g and stores its fill, a new array whose eight images are
-    exactly equal.
+    given, is a whole number in 0..2N, stored as an int.  The constructor
+    is the one place where h and g become exactly symmetric: h must be
+    symmetric to 1e-12 max(1, max|h|) and is stored as 1/2 (h + h^T), and
+    one ``symmetrize_two_body`` call checks g and stores its fill, a new
+    array whose eight images are exactly equal.
     """
 
     n_orbitals: int
@@ -179,9 +206,12 @@ class MolecularHamiltonian:
             raise InputError("Hamiltonian contains non-finite entries")
         if not np.isfinite(self.core_constant):
             raise InputError("core constant is not finite")
-        if self.n_electrons is not None and not 0 <= self.n_electrons <= 2 * n:
-            raise InputError(f"NELEC={self.n_electrons} is outside 0..{2 * n}: "
-                             f"{n} orbitals hold at most {2 * n} electrons")
+        if self.n_electrons is not None:
+            (nelec,) = integer_tuple((self.n_electrons,), "NELEC")
+            if not 0 <= nelec <= 2 * n:
+                raise InputError(f"NELEC={nelec} is outside 0..{2 * n}: "
+                                 f"{n} orbitals hold at most {2 * n} electrons")
+            object.__setattr__(self, "n_electrons", nelec)
         # relative above |h| = 1: a rotation's round-off grows with max|h|
         if n and np.max(np.abs(h - h.T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
             raise InputError("one-body tensor is not symmetric to 1e-12 max(1, max|h|)")
@@ -294,6 +324,8 @@ class ActiveSpaceSpec:
     def __post_init__(self):
         object.__setattr__(self, "frozen", integer_tuple(self.frozen, "frozen"))
         object.__setattr__(self, "active", integer_tuple(self.active, "active"))
+        (nelec,) = integer_tuple((self.n_active_electrons,), "n_active_electrons")
+        object.__setattr__(self, "n_active_electrons", nelec)
 
     @classmethod
     def around_fermi(cls, n_orbitals, n_electrons, n_active_orbitals,
@@ -366,7 +398,7 @@ def class_decomposition(ham: MolecularHamiltonian) -> dict[str, float]:
     images, and its class follows from how many index pairs coincide.
     """
     n = ham.n_orbitals
-    flat, p, q = _pair_order(n)
+    flat, p, q, *_ = index_plan(n)
     rows = ham.two_body_dense().reshape(n * n, n * n)
     images = np.where(p == q, 1.0, 2.0)
     sums = np.zeros(len(CLASS_NAMES), dtype=np.longdouble)

@@ -96,12 +96,19 @@ def resolve_window(window, n_orbitals: int) -> tuple[int, ...]:
     return window
 
 
-def check_limits(cap_name: str, cap: int, tol: float):
-    """An iteration cap must be non-negative, a tolerance finite and non-negative."""
+def check_limits(cap_name: str, cap: int, tol: float) -> int:
+    """The iteration cap as an int; it must be a non-negative whole number,
+    and the tolerance a finite non-negative number."""
+    (cap,) = integer_tuple((cap,), cap_name)
     if cap < 0:
         raise InputError(f"{cap_name} must be non-negative, got {cap}")
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise InputError(f"convergence_tol must be finite and non-negative, got {tol}")
+    try:
+        tol_ok = bool(np.isfinite(tol)) and tol >= 0.0
+    except TypeError:  # not a number
+        tol_ok = False
+    if not tol_ok:
+        raise InputError(f"convergence_tol must be finite and non-negative, got {tol!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,9 @@ class LocalizationRequest:
     a start whose gradient vanishes is returned after 0 iterations).  Both
     never decrease the objective and are deterministic; FB and PM with
     "ascent" are refused, and OAO ignores the method.  ``max_sweeps``
-    caps Jacobi sweeps and ascent iterations alike and must be
-    non-negative; ``convergence_tol`` must be finite and non-negative.
+    caps Jacobi sweeps and ascent iterations alike and must be a
+    non-negative whole number; ``convergence_tol`` must be finite and
+    non-negative.
     """
 
     scheme: str
@@ -138,7 +146,8 @@ class LocalizationRequest:
             raise InputError(f"method 'ascent' serves er only; use 'jacobi' for {scheme}")
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "window", check_window(self.window))
-        check_limits("max_sweeps", self.max_sweeps, self.convergence_tol)
+        object.__setattr__(self, "max_sweeps",
+                           check_limits("max_sweeps", self.max_sweeps, self.convergence_tol))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError, NotPositiveSemidefiniteError
 from .integrals import (
-    MolecularHamiltonian, class_decomposition, pair_matrix, pair_stack, row_blocks,
+    MolecularHamiltonian, class_decomposition, index_plan, pair_matrix, pair_stack, row_blocks,
 )
 
 __all__ = [
@@ -63,15 +63,17 @@ def t_matrix(h, g) -> np.ndarray:
 
 
 def v_prime_quarter(g):
-    """``(p, q, r, s, d)``: index arrays that broadcast to the p>r, s>q
-    quarter lambda_V' sums over, and a fresh d = g_pqrs - g_psrq there."""
-    n = g.shape[0]
-    p, r = np.tril_indices(n, -1)
-    q, s = np.triu_indices(n, 1)
-    p, r = p[:, None], r[:, None]
-    d = g[p, q, r, s]
-    d -= g[p, s, r, q]
-    return p, q, r, s, d
+    """``(bra, ket, swapped, d)``: the offsets of ``index_plan`` into
+    g.reshape(-1), so that bra + ket indexes g_pqrs and bra + swapped
+    g_psrq over the p>r, s>q quarter lambda_V' sums over, and a fresh
+    (M, M) d = g_pqrs - g_psrq there, gathered one row block at a time."""
+    *_, bra, ket, swapped = index_plan(g.shape[0])
+    flat = g.reshape(-1)
+    d = np.empty((len(bra), len(ket)))
+    for b in row_blocks(len(bra), len(ket)):
+        d[b] = np.take(flat, bra[b] + ket)
+        d[b] -= np.take(flat, bra[b] + swapped)
+    return bra, ket, swapped, d
 
 
 def _lambda_v_prime(g, abs_sum_g=None) -> float:

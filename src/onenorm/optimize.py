@@ -20,7 +20,7 @@ from scipy.linalg import expm_frechet
 from scipy.optimize import minimize as scipy_minimize
 
 from .errors import ConvergenceWarning, InputError, NumericalError
-from .integrals import AuxiliaryIntegrals, MolecularHamiltonian
+from .integrals import AuxiliaryIntegrals, MolecularHamiltonian, index_plan, row_blocks
 from .localize import (
     METHODS, SCHEMES, LocalizationRequest, check_limits, check_window, localize, resolve_window,
 )
@@ -60,7 +60,8 @@ class OptimizerConfig:
             raise InputError(f"localization_method must be one of {METHODS}, "
                              f"got {self.localization_method!r}")
         object.__setattr__(self, "window", check_window(self.window))
-        check_limits("max_iterations", self.max_iterations, self.convergence_tol)
+        object.__setattr__(self, "max_iterations", check_limits(
+            "max_iterations", self.max_iterations, self.convergence_tol))
         self.start_request()  # refuses what the request refuses: ascent for fb and pm
 
     @property
@@ -118,6 +119,8 @@ def _window_rotation(n, window, kvec) -> OrbitalRotation:
     generator = AntisymmetricGenerator(dim=len(window), params=kvec)
     if not np.any(kvec):
         return OrbitalRotation.identity(n)
+    if tuple(window) == tuple(range(n)):  # every orbital in order: nothing to embed
+        return exp_generator(generator)
     block = exp_generator(generator).matrix
     full = np.eye(n)
     full[np.ix_(window, window)] = block
@@ -151,8 +154,9 @@ def _gradient(kvec, window, rotated) -> np.ndarray:
     lambda_Q depends on the rotated integrals through t' = U^T t U (the
     lambda_T matrix) and g', with partials sign(t') and C: 1/4 sign(g'),
     plus 1/2 sign(d) at (p, q, r, s) and -1/2 sign(d) at (p, s, r, q) for
-    the (p, q, r, s, d) of ``v_prime_quarter``.  C holds multiples of 1/4,
-    so any summation order gives it exactly.
+    the quarter and d of ``v_prime_quarter``, added through its flat
+    offsets block by block.  C holds multiples of 1/4, so any summation
+    order gives it exactly.
     So dlambda/dU = U F, F = t' sign(t')^T + t'^T sign(t') + (g' contracted
     with C over each of its four slots), and dlambda/dK = -L(K, dlambda/dU)
     on the window, L being the Frechet derivative of expm (U = exp(-K)).
@@ -166,10 +170,13 @@ def _gradient(kvec, window, rotated) -> np.ndarray:
     t = t_matrix(ham.one_body, g)
     sign_t = np.sign(t)
     c = 0.25 * np.sign(g)
-    p, q, r, s, d = v_prime_quarter(g)
-    d = 0.5 * np.sign(d)
-    c[p, q, r, s] += d
-    c[p, s, r, q] -= d
+    bra, ket, swapped, d = v_prime_quarter(g)
+    np.sign(d, out=d)
+    d *= 0.5
+    flat = c.reshape(-1)
+    for b in row_blocks(len(bra), len(ket)):
+        flat[bra[b] + ket] += d[b]
+        flat[bra[b] + swapped] -= d[b]
     del d  # freed before the four-slot sum below
     # g' is exactly 8-fold symmetric, so each slot's contraction is the
     # first slot's against a transposed C
@@ -178,8 +185,8 @@ def _gradient(kvec, window, rotated) -> np.ndarray:
     du = (rotation.matrix @ f)[np.ix_(window, window)]
     k = AntisymmetricGenerator(dim=len(window), params=kvec).matrix()
     dk = -expm_frechet(k, du, compute_expm=False)
-    rows, cols = np.triu_indices(len(window), k=1)
-    return dk[rows, cols] - dk[cols, rows]
+    plan = index_plan(len(window))
+    return dk[plan.rows, plan.cols] - dk[plan.cols, plan.rows]
 
 
 _Point = namedtuple("_Point", "x value rotation hamiltonian")  # x, then objective's full output

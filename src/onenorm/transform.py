@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InputError, NumericalError
-from .integrals import ActiveSpaceSpec, AuxiliaryIntegrals, MolecularHamiltonian
+from .integrals import ActiveSpaceSpec, AuxiliaryIntegrals, MolecularHamiltonian, index_plan
 
 __all__ = [
     "OrbitalRotation",
@@ -78,8 +78,8 @@ class AntisymmetricGenerator:
 
     def matrix(self) -> np.ndarray:
         k = np.zeros((self.dim, self.dim))
-        rows, cols = np.triu_indices(self.dim, k=1)
-        k[rows, cols] = self.params
+        plan = index_plan(self.dim)
+        k[plan.rows, plan.cols] = self.params
         k -= k.T
         return k
 

@@ -18,7 +18,9 @@ from onenorm import (
 )
 from onenorm.errors import InputError
 from onenorm.localize import check_window
-from onenorm.integrals import CLASS_NAMES, SYMMETRY_TOL, pair_index, symmetrize_two_body
+from onenorm.integrals import (
+    CLASS_NAMES, SYMMETRY_TOL, from_pair_matrix, index_plan, pair_index, symmetrize_two_body,
+)
 
 from conftest import random_hamiltonian, random_orthogonal
 
@@ -206,6 +208,20 @@ def test_electron_count_must_fit_the_orbitals(nelec):
         assert MolecularHamiltonian(**zeros, n_electrons=fits).n_electrons == fits
 
 
+def test_a_whole_electron_count_reads_back():
+    # 2.0 was kept as a float and written as NELEC=2.0, which the parser refuses
+    zeros = (0.0, np.eye(2), np.zeros((2,) * 4))
+    ham = MolecularHamiltonian.from_dense(*zeros, n_electrons=2.0)
+    assert type(ham.n_electrons) is int
+    assert parse_fcidump(write_fcidump(ham)).n_electrons == 2
+    with pytest.raises(InputError, match="^NELEC entries must be integers, got 2.5$"):
+        MolecularHamiltonian.from_dense(*zeros, n_electrons=2.5)
+    space = ActiveSpaceSpec(frozen=(), active=(0, 1), n_active_electrons=np.float64(2.0))
+    assert type(space.n_active_electrons) is int
+    with pytest.raises(InputError, match="^n_active_electrons entries must be integers"):
+        ActiveSpaceSpec(frozen=(), active=(0, 1), n_active_electrons=1.5)
+
+
 def test_an_unknown_electron_count_is_refused_where_it_is_needed():
     # None means unknown: it is neither written as NELEC=0 nor used as a count
     ham = MolecularHamiltonian.from_dense(0.0, np.eye(2), np.zeros((2,) * 4))
@@ -232,6 +248,37 @@ def test_orbital_index_lists_hold_integers(make, name, value):
         make()
     assert ActiveSpaceSpec(frozen=(0.0,), active=np.arange(1, 3)).active == (1, 2)
     assert check_window(["1", 2.0]) == (1, 2)
+
+
+def _per_call_from_pair_matrix(pairs, n):
+    """``from_pair_matrix`` as it was before the index plans: the oracle."""
+    pairs = np.where(np.tri(len(pairs), dtype=bool), pairs, pairs.T)
+    spread = pair_index(*np.indices((n, n)).reshape(2, -1))
+    return np.take(np.take(pairs, spread, axis=0), spread, axis=1).reshape(n, n, n, n)
+
+
+@pytest.mark.parametrize("n", [*range(13), 24])
+def test_index_plan_matches_the_per_call_builds(n, rng):
+    plan = index_plan(n)
+    flat = np.flatnonzero(np.tri(n, dtype=bool))
+    hi, lo = np.tril_indices(n, -1)
+    q, s = np.triu_indices(n, 1)
+    expected = {
+        "flat": flat, "p": flat // max(n, 1), "q": flat % max(n, 1),
+        "spread": pair_index(*np.indices((n, n)).reshape(2, -1)),
+        "rows": q, "cols": s,
+        # offsets of g[hi, q, lo, s] and g[hi, s, lo, q] broadcast over (M, M)
+        "bra": np.ravel_multi_index((hi[:, None], 0, lo[:, None], 0), (n,) * 4),
+        "ket": np.ravel_multi_index((0, q, 0, s), (n,) * 4),
+        "swapped": np.ravel_multi_index((0, s, 0, q), (n,) * 4),
+    }
+    for name, array in plan._asdict().items():
+        assert np.array_equal(array, expected[name]) and array.shape == expected[name].shape, name
+        assert not array.flags.writeable, name
+    assert index_plan(n) is plan
+    pairs = rng.standard_normal((len(flat), len(flat)))
+    pairs[pairs < -1.0] = -0.0
+    assert from_pair_matrix(pairs, n).tobytes() == _per_call_from_pair_matrix(pairs, n).tobytes()
 
 
 def test_arrays_are_immutable(rng):

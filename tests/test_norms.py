@@ -22,6 +22,8 @@ from onenorm import (
     write_fcidump,
 )
 from onenorm.errors import NotPositiveSemidefiniteError
+from onenorm.integrals import index_plan
+from onenorm.norms import v_prime_quarter
 from onenorm.optimize import _gradient
 
 from conftest import (
@@ -108,6 +110,30 @@ def test_lambda_v_prime_matches_mask_oracle(rng):
             assert norm_report(ham).lambda_V_prime == lambda_v_prime(ham)
 
 
+def _broadcast_v_prime_quarter(g):
+    """``v_prime_quarter`` as it was before the index plans, gathering
+    through broadcast ``tril_indices``/``triu_indices``: the oracle."""
+    n = g.shape[0]
+    p, r = np.tril_indices(n, -1)
+    q, s = np.triu_indices(n, 1)
+    p, r = p[:, None], r[:, None]
+    d = g[p, q, r, s]
+    d -= g[p, s, r, q]
+    return p, q, r, s, d
+
+
+@pytest.mark.parametrize("n", [*range(13), 24])
+def test_v_prime_quarter_matches_the_broadcast_gather(n, rng):
+    # N = 24 gathers in two row blocks
+    g = random_hamiltonian(n, rng).two_body_dense()
+    bra, ket, swapped, d = v_prime_quarter(g)
+    p, q, r, s, expected = _broadcast_v_prime_quarter(g)
+    assert d.shape == expected.shape and d.tobytes() == expected.tobytes()
+    assert np.array_equal(bra + ket, np.ravel_multi_index(np.broadcast_arrays(p, q, r, s), g.shape))
+    assert np.array_equal(bra + swapped,
+                          np.ravel_multi_index(np.broadcast_arrays(p, s, r, q), g.shape))
+
+
 def _peak_in_tensors(func, nbytes):
     """Peak traced allocation while ``func`` runs, in units of ``nbytes``."""
     tracemalloc.start()
@@ -149,6 +175,27 @@ def test_n4_passes_are_memory_bounded(rng):
               "parse_fcidump": 3.5, "gradient": 2.5}
     for name, bound in bounds.items():
         assert peaks[name] <= bound, (name, peaks[name])
+
+
+def test_index_plans_keep_no_n4_array(rng):
+    # what the objective path leaves allocated once its results are gone is
+    # the cached O(N^2) plans; an N^4-sized index would be 0.23 tensor at N = 24
+    n = 24
+    ham = random_psd_hamiltonian(n, rng, rank=2 * n)
+    rotation = random_orthogonal(n, rng)
+    at_start = (np.zeros(n * (n - 1) // 2), range(n), (OrbitalRotation.identity(n), ham))
+    index_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        norm_report(ham)
+        rotate_hamiltonian(ham, rotation)
+        _gradient(*at_start)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    tensor = ham.two_body.nbytes
+    assert retained <= 0.05 * tensor, retained / tensor
 
 
 def test_lambda_v_prime_equality_for_coulomb_only_tensor():

@@ -65,6 +65,22 @@ def test_negative_cap_or_bad_tolerance_is_an_input_error():
     LocalizationRequest(scheme="er", max_sweeps=0, convergence_tol=0.0)
 
 
+@pytest.mark.parametrize("cls, field, value", [
+    (LocalizationRequest, "max_sweeps", 2.5),
+    (OptimizerConfig, "max_iterations", 2.5),
+    (LocalizationRequest, "convergence_tol", "x"),
+    (OptimizerConfig, "convergence_tol", "x"),
+])
+def test_caps_are_whole_numbers_and_tolerances_numbers(cls, field, value):
+    # 2.5 sweeps failed in range(), 2.5 iterations went on to scipy, and a
+    # tolerance "x" was a TypeError from np.isfinite
+    scheme = {"scheme": "er"} if cls is LocalizationRequest else {}
+    with pytest.raises(InputError, match=field):
+        cls(**scheme, **{field: value})
+    if field != "convergence_tol":
+        assert type(getattr(cls(**scheme, **{field: 2.0}), field)) is int
+
+
 def test_objective_at_zero_equals_lambda_q(rng):
     ham = random_hamiltonian(4, rng)
     assert objective(ham, np.zeros(6)) == lambda_q(ham)
@@ -266,7 +282,8 @@ def test_gradient_equals_the_mask_built_oracle_bitwise(rng):
     from onenorm import MolecularHamiltonian
     from onenorm.optimize import _gradient
 
-    cases = [(n, tuple(range(n))) for n in range(1, 8)] + [(6, (0, 2, 3, 5))]
+    cases = [(n, tuple(range(n))) for n in (*range(13), 24)]
+    cases += [(6, (0, 2, 3, 5)), (3, (2, 0, 1)), (12, (11, 4, 7, 0, 9)), (24, (5, 23, 0, 17, 8, 2))]
     for n, window in cases:
         ham = random_hamiltonian(n, rng)
         rounded = MolecularHamiltonian.from_dense(0.0, np.round(ham.one_body),

@@ -62,6 +62,16 @@ def test_generator_param_mapping():
     assert np.array_equal(k, -k.T)
 
 
+@pytest.mark.parametrize("dim", [*range(13), 24])
+def test_generator_matrix_matches_the_per_call_triangle(dim, rng):
+    params = rng.standard_normal(dim * (dim - 1) // 2)
+    expected = np.zeros((dim, dim))
+    rows, cols = np.triu_indices(dim, k=1)
+    expected[rows, cols] = params
+    expected -= expected.T
+    assert AntisymmetricGenerator(dim=dim, params=params).matrix().tobytes() == expected.tobytes()
+
+
 def test_generator_validation():
     with pytest.raises(InputError, match="parameters"):
         AntisymmetricGenerator(dim=3, params=[1.0])
