@@ -46,7 +46,7 @@ def pair_index(p, q):
     return hi * (hi + 1) // 2 + lo
 
 
-IndexPlan = namedtuple("IndexPlan", "flat p q spread rows cols bra ket swapped")
+IndexPlan = namedtuple("IndexPlan", "flat p q mirror spread rows cols bra ket swapped")
 
 
 @lru_cache(maxsize=16)
@@ -58,6 +58,7 @@ def index_plan(n: int) -> IndexPlan:
     flat, p, q          the pairs p>=q row by row, which is pair order;
                         flat = p * N + q indexes a row of g reshaped to
                         (N^2, N^2)
+    mirror              q * N + p, the row of the same pair as (q, p)
     spread              the pair index of each flat (p, q), over all N^2
     rows, cols          the strict upper triangle, row by row
     bra, ket, swapped   the p>r, s>q quarter that lambda_V' sums over, as
@@ -71,7 +72,7 @@ def index_plan(n: int) -> IndexPlan:
     spread = pair_index(*np.indices((n, n)).reshape(2, -1))
     rows, cols = np.triu_indices(n, 1)
     hi, lo = np.tril_indices(n, -1)
-    plan = IndexPlan(flat, p, q, spread, rows, cols, (hi * n**3 + lo * n)[:, None],
+    plan = IndexPlan(flat, p, q, q * n + p, spread, rows, cols, (hi * n**3 + lo * n)[:, None],
                      rows * n**2 + cols, cols * n**2 + rows)
     for array in plan:
         array.setflags(write=False)
@@ -83,11 +84,44 @@ def pair_matrix(g: np.ndarray):
     (P, P) array G[a, b] = g[p[a], q[a], p[b], q[b]].
 
     The one owner of the canonical layout (p>=q, r>=s, pair(pq)>=pair(rs)):
-    the canonical entries are G[a, b] with a >= b.
+    the canonical entries are G[a, b] with a >= b.  Gathered one block of
+    pair rows at a time, so no other (P, N^2)-sized array is built.
     """
     n = g.shape[0]
     flat, p, q, *_ = index_plan(n)
-    return p, q, np.take(np.take(g.reshape(n * n, n * n), flat, axis=0), flat, axis=1)
+    rows = g.reshape(n * n, n * n)
+    out = np.empty((len(flat), len(flat)))
+    for block in row_blocks(len(flat), n * n):
+        out[block] = rows[flat[block]][:, flat]
+    return p, q, out
+
+
+def _spread(gather, n: int) -> np.ndarray:
+    """Read-only N^4 tensor whose every image holds the lower triangle of a
+    pair matrix G; ``gather(rows, cols)`` returns a new array of
+    G[rows, cols] for two slices of pair indices.
+
+    Block by block of about BLOCK_ENTRIES, the pair rows of G are read
+    from its lower triangle, G[a, :a+1] along the row and G[a+1:, a] down
+    the column, spread over the pair index of each column and written to
+    the rows p N + q and q N + p of the result reshaped to (N^2, N^2).
+    Only the block's own square is gathered above the diagonal, and that
+    part is replaced from below it.  Values are copied, never combined,
+    so the result is its own fill.
+    """
+    flat, _, _, mirror, spread, *_ = index_plan(n)
+    size = len(flat)
+    out = np.empty((n * n, n * n))
+    for block in row_blocks(size, n * n):
+        rows = gather(block, slice(0, block.stop))
+        if block.stop < size:
+            rows = np.concatenate((rows, gather(slice(block.stop, size), block).T), axis=1)
+        square = rows[:, block]
+        # flat increases, so this is the square's strict upper triangle
+        np.copyto(square, square.T, where=flat[block, None] < flat[block])
+        out[flat[block]] = out[mirror[block]] = rows[:, spread]
+    out.setflags(write=False)
+    return out.reshape(n, n, n, n)
 
 
 def from_pair_matrix(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -95,11 +129,7 @@ def from_pair_matrix(pairs: np.ndarray, n: int) -> np.ndarray:
 
     Values are copied, never combined, so the result is its own fill.
     """
-    pairs = np.where(np.tri(len(pairs), dtype=bool), pairs, pairs.T)
-    spread = index_plan(n).spread
-    out = np.take(np.take(pairs, spread, axis=0), spread, axis=1)
-    out.setflags(write=False)
-    return out.reshape(n, n, n, n)
+    return _spread(lambda rows, cols: pairs[rows, cols].copy(), n)
 
 
 def pair_stack(rows: np.ndarray, n: int) -> np.ndarray:
@@ -118,7 +148,7 @@ def row_blocks(n_rows: int, row_size: int) -> list[slice]:
     a fraction of the tensor; a small tensor is a single block.
     """
     step = max(1, BLOCK_ENTRIES // max(1, row_size))
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
 def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
@@ -126,17 +156,33 @@ def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
 
     Raises InputError if the tensor holds non-finite entries or differs
     from its fill by more than SYMMETRY_TOL anywhere.  The caller checks
-    the N^4 shape.  The fill is read-only (see ``from_pair_matrix``).
+    the N^4 shape.  The fill is read-only (see ``from_pair_matrix``); it
+    is spread from the canonical entries of ``dense`` as they are
+    gathered, so no pair matrix is built beside it.
     """
     dense = np.asarray(dense, dtype=float)
     n = dense.shape[0]
     if not np.isfinite(dense).all():
         raise InputError("two-body tensor contains non-finite entries")
-    filled = from_pair_matrix(pair_matrix(dense)[2], n)
-    err = max(
-        (float(np.max(np.abs(dense[b] - filled[b]))) for b in row_blocks(n, n**3)),
-        default=0.0,
-    )
+    rows = dense.reshape(n * n, n * n)
+    flat = index_plan(n).flat
+
+    def canonical(a, b):
+        # G[a, b] read from g: a block of whole rows, narrowed to the columns
+        # after the copy, or a few columns of many rows, element by element
+        if a.stop - a.start <= b.stop - b.start:
+            return rows[flat[a]][:, flat[b]]
+        return rows[flat[a, None], flat[b]]
+
+    filled = _spread(canonical, n)
+    filled_rows = filled.reshape(n * n, n * n)
+    blocks = row_blocks(n * n, n * n)
+    buffer = np.empty_like(rows[blocks[0]]) if blocks else None
+    err = 0.0
+    for block in blocks:
+        diff = buffer[: block.stop - block.start]
+        np.subtract(rows[block], filled_rows[block], out=diff)
+        err = max(err, float(diff.max()), -float(diff.min()))
     if err > SYMMETRY_TOL:
         raise InputError(
             f"two-body tensor violates permutational symmetry by {err:.3e} "
@@ -147,16 +193,19 @@ def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
 
 def integer_tuple(values, name: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints; InputError naming the first entry
-    that is not a whole number (an integral float such as 2.0 is one)."""
+    that is not a whole number (an integral float such as 2.0 is one).
+    Ints and numpy integers are taken as they are, so none is rounded."""
     out = []
     for value in values.tolist() if isinstance(values, np.ndarray) else values:
-        try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):
-            number = np.nan
-        if not number.is_integer():
-            raise InputError(f"{name} entries must be integers, got {value!r}")
-        out.append(int(number))
+        if not isinstance(value, (int, np.integer)):
+            try:
+                number = float(value)
+            except (TypeError, ValueError, OverflowError):
+                number = np.nan
+            if not number.is_integer():
+                raise InputError(f"{name} entries must be integers, got {value!r}")
+            value = number
+        out.append(int(value))
     return tuple(out)
 
 
@@ -376,6 +425,10 @@ class ActiveSpaceSpec:
 # Class of an index tuple, as an index into CLASS_NAMES, by [number of equal
 # pairs among (p, q, r, s), whether p = q or r = s]; 4 or 5 cannot occur.
 _CLASS_OF_COINCIDENCE = np.array([[6, 6], [4, 5], [2, 3], [1, 1], [-1, -1], [-1, -1], [0, 0]])
+# The same by one key, 4 c + 2 [p = q] + [r = s], where c = 0..4 counts the
+# equal pairs between {p, q} and {r, s}.
+_CLASS_OF_KEY = np.array([_CLASS_OF_COINCIDENCE[c + bra + ket, bra | ket]
+                          for c in range(5) for bra in (0, 1) for ket in (0, 1)])
 
 
 def class_decomposition(ham: MolecularHamiltonian) -> dict[str, float]:
@@ -401,14 +454,20 @@ def class_decomposition(ham: MolecularHamiltonian) -> dict[str, float]:
     flat, p, q, *_ = index_plan(n)
     rows = ham.two_body_dense().reshape(n * n, n * n)
     images = np.where(p == q, 1.0, 2.0)
+    # the key of _CLASS_OF_KEY for bra pair a and ket pair b is
+    # ket_occurs[p[a], b] + occurs[q[a], b] + bra[a], where occurs[k, b] is
+    # 4 x how often orbital k is in pair b
+    orbitals = np.arange(n)[:, None]
+    occurs = 4 * ((orbitals == p).view(np.int8) + (orbitals == q))
+    ket_occurs = occurs + (p == q)
+    bra = 2 * (p == q).view(np.int8)
     sums = np.zeros(len(CLASS_NAMES), dtype=np.longdouble)
     for start in range(0, len(flat), max(n, 1)):
         a = slice(start, start + n)
-        block = np.abs(rows[flat[a, None], flat])
+        block = np.abs(rows[flat[a]][:, flat])
         block *= images[a, None] * images
-        i, j = p[a, None], q[a, None]  # the block's bra pairs; kets are (p, q)
-        inside = ((i == j) | (p == q)).view(np.int8)
-        equal = sum(x.view(np.int8) for x in (i == j, p == q, i == p, i == q, j == p, j == q))
-        classes = _CLASS_OF_COINCIDENCE[equal, inside]
+        keys = ket_occurs[p[a]] + occurs[q[a]]
+        keys += bra[a, None]
+        classes = _CLASS_OF_KEY[keys]
         sums += np.bincount(classes.ravel(), block.ravel(), len(CLASS_NAMES))
     return {name: float(total) for name, total in zip(CLASS_NAMES, sums)}

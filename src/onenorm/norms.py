@@ -234,6 +234,7 @@ def cholesky_decompose(
         factor[rank] = vec
         diag -= vec * vec
         diag[pivot] = 0.0
+    del pairs  # freed before the vectors are built: it lowers the peak
     vectors = tuple(pair_stack(factor[:rank], n))
     residual = float(diag.max(initial=0.0))
     return CholeskyFactorization(vectors=vectors, residual=residual, tolerance=tolerance)

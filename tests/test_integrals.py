@@ -19,7 +19,8 @@ from onenorm import (
 from onenorm.errors import InputError
 from onenorm.localize import check_window
 from onenorm.integrals import (
-    CLASS_NAMES, SYMMETRY_TOL, from_pair_matrix, index_plan, pair_index, symmetrize_two_body,
+    CLASS_NAMES, SYMMETRY_TOL, _CLASS_OF_COINCIDENCE, from_pair_matrix, index_plan, integer_tuple,
+    pair_index, pair_matrix, row_blocks, symmetrize_two_body,
 )
 
 from conftest import random_hamiltonian, random_orthogonal
@@ -250,21 +251,129 @@ def test_orbital_index_lists_hold_integers(make, name, value):
     assert check_window(["1", 2.0]) == (1, 2)
 
 
+def test_integers_are_kept_exact():
+    # an int above 2**53 is not read through float, which would round it
+    big = 2**53 + 1
+    assert integer_tuple((big, np.int64(big), True), "x") == (big, big, 1)
+    assert integer_tuple(np.array([big]), "x") == (big,)
+    assert LocalizationRequest(scheme="er", max_sweeps=2**60 + 1).max_sweeps == 2**60 + 1
+    assert OptimizerConfig(max_iterations=np.int64(big)).max_iterations == big
+
+
 def _per_call_from_pair_matrix(pairs, n):
-    """``from_pair_matrix`` as it was before the index plans: the oracle."""
+    """``from_pair_matrix`` as it was before the index plans and the blocked
+    spread, with its P x P ``np.where`` and (N^2, P) take: the oracle."""
     pairs = np.where(np.tri(len(pairs), dtype=bool), pairs, pairs.T)
     spread = pair_index(*np.indices((n, n)).reshape(2, -1))
     return np.take(np.take(pairs, spread, axis=0), spread, axis=1).reshape(n, n, n, n)
 
 
+def _unblocked_pair_matrix(g):
+    """``pair_matrix`` as it was before the blocked gather: the oracle."""
+    n = g.shape[0]
+    flat, p, q, *_ = index_plan(n)
+    return p, q, np.take(np.take(g.reshape(n * n, n * n), flat, axis=0), flat, axis=1)
+
+
+def _unblocked_symmetrize_two_body(dense):
+    """``symmetrize_two_body`` as it was before the blocked fill, which
+    built the whole pair matrix and then spread it: the oracle."""
+    dense = np.asarray(dense, dtype=float)
+    n = dense.shape[0]
+    if not np.isfinite(dense).all():
+        raise InputError("two-body tensor contains non-finite entries")
+    filled = _per_call_from_pair_matrix(_unblocked_pair_matrix(dense)[2], n)
+    err = max(
+        (float(np.max(np.abs(dense[b] - filled[b]))) for b in row_blocks(n, n**3)),
+        default=0.0,
+    )
+    if err > SYMMETRY_TOL:
+        raise InputError(
+            f"two-body tensor violates permutational symmetry by {err:.3e} "
+            f"(tol {SYMMETRY_TOL:.1e})"
+        )
+    return filled
+
+
+def _refusal(fill, dense):
+    with pytest.raises(InputError) as info:
+        fill(dense)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n", [*range(13), 24, 50])
+def test_blocked_layout_helpers_match_the_unblocked_ones(n, rng):
+    # values are copied, never combined, so the blocked gather, spread and
+    # fill reproduce the unblocked ones bit for bit, -0.0 entries included;
+    # N = 24 and 50 run several pair-row blocks
+    g = rng.standard_normal((n,) * 4)
+    g[g < -1.0] = -0.0
+    p, q, pairs = pair_matrix(g)
+    expected = _unblocked_pair_matrix(g)
+    del g
+    assert np.array_equal(p, expected[0]) and np.array_equal(q, expected[1])
+    assert pairs.tobytes() == expected[2].tobytes()
+    del expected
+    filled = from_pair_matrix(pairs, n)  # reads the lower triangle only
+    assert filled.tobytes() == _per_call_from_pair_matrix(pairs, n).tobytes()
+    assert not filled.flags.writeable
+    del pairs
+    # round-off below SYMMETRY_TOL in every entry is accepted, and the fill
+    # takes the canonical entries; the -0.0 entries stay -0.0
+    noisy = filled + 1e-9 * rng.uniform(-1.0, 1.0, filled.shape)
+    noisy = np.where(filled == 0.0, filled, noisy)
+    assert symmetrize_two_body(noisy).tobytes() == _unblocked_symmetrize_two_body(noisy).tobytes()
+    if n < 2:
+        return
+    # a 1e-7 asymmetry is refused with the same message, hence the same error
+    # value, the largest over all blocks
+    noisy += 1e-7 * rng.uniform(-1.0, 1.0, filled.shape)
+    message = _refusal(symmetrize_two_body, noisy)
+    assert message.startswith("two-body tensor violates permutational symmetry by ")
+    assert message == _refusal(_unblocked_symmetrize_two_body, noisy)
+    # a NaN in an image the fill never reads is still found, before the bound
+    broken = np.array(filled)
+    broken[0, 1, 0, 0] = np.nan  # p < q: not the canonical entry (1, 0, 0, 0)
+    for fill in (symmetrize_two_body, _unblocked_symmetrize_two_body):
+        assert _refusal(fill, broken) == "two-body tensor contains non-finite entries"
+
+
+def _broadcast_class_decomposition(ham):
+    """``class_decomposition`` as it was before the occurrence table, with
+    six broadcast comparisons per block: the oracle."""
+    n = ham.n_orbitals
+    flat, p, q, *_ = index_plan(n)
+    rows = ham.two_body_dense().reshape(n * n, n * n)
+    images = np.where(p == q, 1.0, 2.0)
+    sums = np.zeros(len(CLASS_NAMES), dtype=np.longdouble)
+    for start in range(0, len(flat), max(n, 1)):
+        a = slice(start, start + n)
+        block = np.abs(rows[flat[a, None], flat])
+        block *= images[a, None] * images
+        i, j = p[a, None], q[a, None]
+        inside = ((i == j) | (p == q)).view(np.int8)
+        equal = sum(x.view(np.int8) for x in (i == j, p == q, i == p, i == q, j == p, j == q))
+        classes = _CLASS_OF_COINCIDENCE[equal, inside]
+        sums += np.bincount(classes.ravel(), block.ravel(), len(CLASS_NAMES))
+    return {name: float(total) for name, total in zip(CLASS_NAMES, sums)}
+
+
 @pytest.mark.parametrize("n", [*range(13), 24])
-def test_index_plan_matches_the_per_call_builds(n, rng):
+def test_class_sums_match_the_broadcast_comparisons(n, rng):
+    # the same classes in the same bincount order: the sums agree bit for bit
+    ham = random_hamiltonian(n, rng)
+    assert class_decomposition(ham) == _broadcast_class_decomposition(ham)
+
+
+@pytest.mark.parametrize("n", [*range(13), 24])
+def test_index_plan_matches_the_per_call_builds(n):
     plan = index_plan(n)
     flat = np.flatnonzero(np.tri(n, dtype=bool))
     hi, lo = np.tril_indices(n, -1)
     q, s = np.triu_indices(n, 1)
     expected = {
         "flat": flat, "p": flat // max(n, 1), "q": flat % max(n, 1),
+        "mirror": (flat % max(n, 1)) * n + flat // max(n, 1),
         "spread": pair_index(*np.indices((n, n)).reshape(2, -1)),
         "rows": q, "cols": s,
         # offsets of g[hi, q, lo, s] and g[hi, s, lo, q] broadcast over (M, M)
@@ -276,9 +385,6 @@ def test_index_plan_matches_the_per_call_builds(n, rng):
         assert np.array_equal(array, expected[name]) and array.shape == expected[name].shape, name
         assert not array.flags.writeable, name
     assert index_plan(n) is plan
-    pairs = rng.standard_normal((len(flat), len(flat)))
-    pairs[pairs < -1.0] = -0.0
-    assert from_pair_matrix(pairs, n).tobytes() == _per_call_from_pair_matrix(pairs, n).tobytes()
 
 
 def test_arrays_are_immutable(rng):
