@@ -21,7 +21,6 @@ from .errors import DataWarning, InputError
 from .integrals import (
     AuxiliaryIntegrals,
     MolecularHamiltonian,
-    from_pair_matrix,
     known_electron_count,
     pair_index,
     pair_matrix,
@@ -136,14 +135,28 @@ def _read_rows(lines: list[str], body_start: int, norb: int) -> np.ndarray:
     return rows
 
 
-def _scatter(rows: np.ndarray, h: np.ndarray, pairs: np.ndarray):
-    """Store the last row of each slot: one-body rows in the lower triangle
-    of h, two-body rows in the lower triangle of the (pq|rs) pair matrix.
+def _allocate(norb: int, ndim: int) -> np.ndarray:
+    """Zeros of shape (norb,) * ndim; InputError for a NORB whose N^4
+    tensor numpy cannot hold, before any slot key is computed from it."""
+    try:
+        if norb**4 * 8 <= np.iinfo(np.intp).max:  # numpy's own limit on the bytes
+            return np.zeros((norb,) * ndim)
+    except MemoryError:
+        pass
+    raise InputError(f"NORB={norb} is too large to allocate")
 
-    Returns the core constant and the conflicting duplicates, each as
-    ``(row, old value, new value)``, in row order.
+
+def _scatter(rows: np.ndarray, h: np.ndarray):
+    """Store the last row of each slot: one-body rows in the lower triangle
+    of h; two-body slots are those of the lower triangle of the (pq|rs)
+    pair matrix.
+
+    Returns the core constant, the conflicting duplicates, each as
+    ``(row, old value, new value)``, in row order, and the 0-based
+    ``(i, j, k, l, value)`` arrays of the last two-body row of each slot.
     """
-    norb, n_pairs = len(h), len(pairs)
+    norb = len(h)
+    n_pairs = norb * (norb + 1) // 2
     i, j, k, l = (rows[c].astype(np.int64) - 1 for c in "ijkl")
     a, b = pair_index(i, j), pair_index(k, l)
     # one key space: the core -1, g slots a * P + b (a >= b), then h slots
@@ -161,12 +174,23 @@ def _scatter(rows: np.ndarray, h: np.ndarray, pairs: np.ndarray):
                             & (np.abs(value[1:] - value[:-1]) > 1e-10))
     at = at[np.argsort(order[at + 1])]
     conflicts = list(zip(order[at + 1].tolist(), value[at].tolist(), value[at + 1].tolist()))
-    key, value = key[last], value[last]
+    key, value, order = key[last], value[last], order[last]
     core = float(value[0]) if len(key) and key[0] < 0 else 0.0
     lo, hi = np.searchsorted(key, [0, n_pairs * n_pairs])
-    pairs.reshape(-1)[key[lo:hi]] = value[lo:hi]
     h.reshape(-1)[key[hi:] - n_pairs * n_pairs] = value[hi:]
-    return core, conflicts
+    kept = order[lo:hi]
+    return core, conflicts, (i[kept], j[kept], k[kept], l[kept], value[lo:hi])
+
+
+def _write_images(g: np.ndarray, i, j, k, l, value):
+    """Write each value to the eight images of its (ij|kl) in g: the
+    offsets bra N^2 + ket and ket N^2 + bra, over bra in {iN + j, jN + i}
+    and ket in {kN + l, lN + k}."""
+    n = len(g)
+    flat = g.reshape(-1)
+    for bra in (i * n + j, j * n + i):
+        for ket in (k * n + l, l * n + k):
+            flat[bra * n * n + ket] = flat[ket * n * n + bra] = value
 
 
 def parse_fcidump(text: str) -> MolecularHamiltonian:
@@ -174,7 +198,8 @@ def parse_fcidump(text: str) -> MolecularHamiltonian:
 
     Later duplicates of the same canonical index tuple overwrite earlier
     ones; a conflicting duplicate (difference above 1e-10) emits a
-    DataWarning rather than failing.
+    DataWarning rather than failing.  Each kept two-body value is written
+    to its eight images, and the constructor checks and fills the tensor.
     """
     lines = text.splitlines()
     fields, body_start = _parse_namelist(lines)
@@ -188,15 +213,10 @@ def parse_fcidump(text: str) -> MolecularHamiltonian:
     if norb < 0:
         raise InputError("NORB must be non-negative")
 
-    n_pairs = norb * (norb + 1) // 2
-    try:
-        h = np.zeros((norb, norb))
-        pairs = np.zeros((n_pairs, n_pairs))
-    except (ValueError, MemoryError):  # too many elements, or too many bytes
-        raise InputError(f"NORB={norb} is too large to allocate") from None
+    h = _allocate(norb, 2)
     rows = _read_rows(lines, body_start, norb)
     del lines  # the line list outweighs every array built below
-    core, conflicts = _scatter(rows, h, pairs)
+    core, conflicts, kept = _scatter(rows, h)
     if conflicts:
         linenos = _body_linenos(text.splitlines(), body_start)
         for row, old, new in conflicts:
@@ -210,8 +230,9 @@ def parse_fcidump(text: str) -> MolecularHamiltonian:
     del rows
 
     h += np.tril(h, -1).T  # h lines fill the lower triangle
-    two_body = from_pair_matrix(pairs, norb)
-    del pairs
+    two_body = _allocate(norb, 4)
+    _write_images(two_body, *kept)
+    del kept
     return MolecularHamiltonian(
         n_orbitals=norb,
         core_constant=core,

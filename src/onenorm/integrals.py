@@ -25,7 +25,6 @@ __all__ = [
     "AuxiliaryIntegrals",
     "ActiveSpaceSpec",
     "class_decomposition",
-    "from_pair_matrix",
     "pair_index",
     "pair_matrix",
     "pair_stack",
@@ -96,42 +95,6 @@ def pair_matrix(g: np.ndarray):
     return p, q, out
 
 
-def _spread(gather, n: int) -> np.ndarray:
-    """Read-only N^4 tensor whose every image holds the lower triangle of a
-    pair matrix G; ``gather(rows, cols)`` returns a new array of
-    G[rows, cols] for two slices of pair indices.
-
-    Block by block of about BLOCK_ENTRIES, the pair rows of G are read
-    from its lower triangle, G[a, :a+1] along the row and G[a+1:, a] down
-    the column, spread over the pair index of each column and written to
-    the rows p N + q and q N + p of the result reshaped to (N^2, N^2).
-    Only the block's own square is gathered above the diagonal, and that
-    part is replaced from below it.  Values are copied, never combined,
-    so the result is its own fill.
-    """
-    flat, _, _, mirror, spread, *_ = index_plan(n)
-    size = len(flat)
-    out = np.empty((n * n, n * n))
-    for block in row_blocks(size, n * n):
-        rows = gather(block, slice(0, block.stop))
-        if block.stop < size:
-            rows = np.concatenate((rows, gather(slice(block.stop, size), block).T), axis=1)
-        square = rows[:, block]
-        # flat increases, so this is the square's strict upper triangle
-        np.copyto(square, square.T, where=flat[block, None] < flat[block])
-        out[flat[block]] = out[mirror[block]] = rows[:, spread]
-    out.setflags(write=False)
-    return out.reshape(n, n, n, n)
-
-
-def from_pair_matrix(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Read-only N^4 tensor spread from the lower triangle of a pair matrix.
-
-    Values are copied, never combined, so the result is its own fill.
-    """
-    return _spread(lambda rows, cols: pairs[rows, cols].copy(), n)
-
-
 def pair_stack(rows: np.ndarray, n: int) -> np.ndarray:
     """(K, N, N) symmetric matrices spread from K rows over the pairs of
     ``pair_matrix``: M_k[p, q] = M_k[q, p] = rows[k, pair(p, q)]."""
@@ -156,39 +119,51 @@ def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
 
     Raises InputError if the tensor holds non-finite entries or differs
     from its fill by more than SYMMETRY_TOL anywhere.  The caller checks
-    the N^4 shape.  The fill is read-only (see ``from_pair_matrix``); it
-    is spread from the canonical entries of ``dense`` as they are
-    gathered, so no pair matrix is built beside it.
+    the N^4 shape.
+
+    The fill is a new read-only tensor whose every image holds the lower
+    triangle of the pair matrix G of ``dense``, gathered straight from
+    ``dense``, so no pair matrix is built beside it.  Block by block of
+    about BLOCK_ENTRIES, the pair rows of G are read from its lower
+    triangle, G[a, :a+1] along the row and G[a+1:, a] down the column,
+    spread over the pair index of each column and written to the rows
+    p N + q and q N + p of the result reshaped to (N^2, N^2).  Only the
+    block's own square is gathered above the diagonal, and that part is
+    replaced from below it.  Values are copied, never combined, so the
+    result is its own fill.
     """
     dense = np.asarray(dense, dtype=float)
     n = dense.shape[0]
     if not np.isfinite(dense).all():
         raise InputError("two-body tensor contains non-finite entries")
     rows = dense.reshape(n * n, n * n)
-    flat = index_plan(n).flat
-
-    def canonical(a, b):
-        # G[a, b] read from g: a block of whole rows, narrowed to the columns
-        # after the copy, or a few columns of many rows, element by element
-        if a.stop - a.start <= b.stop - b.start:
-            return rows[flat[a]][:, flat[b]]
-        return rows[flat[a, None], flat[b]]
-
-    filled = _spread(canonical, n)
-    filled_rows = filled.reshape(n * n, n * n)
+    flat, _, _, mirror, spread, *_ = index_plan(n)
+    size = len(flat)
+    filled = np.empty((n * n, n * n))
+    for block in row_blocks(size, n * n):
+        # a block of whole rows, narrowed to the columns after the copy
+        pairs = rows[flat[block]][:, flat[: block.stop]]
+        if block.stop < size:  # the columns below: element by element
+            below = rows[flat[block.stop:, None], flat[block]]
+            pairs = np.concatenate((pairs, below.T), axis=1)
+        square = pairs[:, block]
+        # flat increases, so this is the square's strict upper triangle
+        np.copyto(square, square.T, where=flat[block, None] < flat[block])
+        filled[flat[block]] = filled[mirror[block]] = pairs[:, spread]
+    filled.setflags(write=False)
     blocks = row_blocks(n * n, n * n)
     buffer = np.empty_like(rows[blocks[0]]) if blocks else None
     err = 0.0
     for block in blocks:
         diff = buffer[: block.stop - block.start]
-        np.subtract(rows[block], filled_rows[block], out=diff)
+        np.subtract(rows[block], filled[block], out=diff)
         err = max(err, float(diff.max()), -float(diff.min()))
     if err > SYMMETRY_TOL:
         raise InputError(
             f"two-body tensor violates permutational symmetry by {err:.3e} "
             f"(tol {SYMMETRY_TOL:.1e})"
         )
-    return filled
+    return filled.reshape(n, n, n, n)
 
 
 def integer_tuple(values, name: str) -> tuple[int, ...]:

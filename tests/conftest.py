@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from onenorm import AuxiliaryIntegrals, MolecularHamiltonian
-from onenorm.integrals import from_pair_matrix, pair_matrix
+from onenorm.integrals import pair_index, pair_matrix
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -31,6 +31,15 @@ requires_fixtures = pytest.mark.skipif(
 )
 
 
+def spread_pair_matrix(pairs, n):
+    """The N^4 tensor whose every image holds the lower triangle of a pair
+    matrix, built with a P x P ``np.where`` and an (N^2, P) take: the
+    test-side spread, and the oracle of the constructor's fill."""
+    pairs = np.where(np.tri(len(pairs), dtype=bool), pairs, pairs.T)
+    spread = pair_index(*np.indices((n, n)).reshape(2, -1))
+    return np.take(np.take(pairs, spread, axis=0), spread, axis=1).reshape(n, n, n, n)
+
+
 def random_hamiltonian(n, rng, core=None, scale=1.0):
     """8-fold-symmetric instance: one draw per canonical tuple, then filled;
     N electrons, so that it can be written as FCIDUMP."""
@@ -51,7 +60,7 @@ def random_hamiltonian(n, rng, core=None, scale=1.0):
         core = float(rng.standard_normal())
     return MolecularHamiltonian(
         n_orbitals=n, core_constant=core, one_body=h,
-        two_body=from_pair_matrix(pair_matrix(g)[2], n), n_electrons=n,
+        two_body=spread_pair_matrix(pair_matrix(g)[2], n), n_electrons=n,
     )
 
 

@@ -21,7 +21,7 @@ from onenorm import (
 from onenorm.errors import DataWarning, InputError
 from onenorm import MolecularHamiltonian
 from onenorm.fcidump import _parse_namelist, read_labeled_matrix, write_labeled_matrix
-from onenorm.integrals import from_pair_matrix, pair_index, pair_matrix
+from onenorm.integrals import pair_index, pair_matrix
 
 from conftest import (
     CHAIN_SIZES,
@@ -31,6 +31,7 @@ from conftest import (
     random_hamiltonian,
     random_orthogonal,
     requires_fixtures,
+    spread_pair_matrix,
 )
 
 
@@ -168,6 +169,32 @@ def test_duplicate_entries_overwrite_with_warning():
         parse_fcidump(quiet)
 
 
+@pytest.mark.parametrize("indices", ["1 1 1 1", "1 1 0 0"])
+def test_conflicting_duplicate_threshold_is_1e_10(indices):
+    # a difference above 1e-10 warns, one below it is silent
+    def parse(gap):
+        text = (" &FCI NORB=1,NELEC=2,\n &END\n"
+                f"0.5 {indices}\n{0.5 + gap!r} {indices}\n0.0 0 0 0 0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_fcidump(text)
+        return [str(w.message) for w in caught]
+
+    (message,) = parse(1e-9)
+    assert message.startswith("line 4: conflicting duplicate")
+    assert parse(1e-11) == []
+
+
+@pytest.mark.parametrize("norb", ["100000000000000000000", "40000"])
+def test_a_norb_too_large_to_allocate_is_an_input_error(norb):
+    # refused before the body's slot keys are computed, which would overflow
+    # for the first; the N^4 tensor of the second is more bytes than numpy
+    # can count, and nothing is allocated for either
+    for body in ("", "1.0 1 1 1 1\n0.5 1 1 0 0\n"):
+        with pytest.raises(InputError, match=f"^NORB={norb} is too large to allocate$"):
+            parse_fcidump(f" &FCI NORB={norb},NELEC=2, &END\n{body}")
+
+
 def test_orbsym_parsed_and_ignored():
     text = " &FCI NORB=2,NELEC=2,MS2=0,\n  ORBSYM=1,1,\n  ISYM=1,\n &END\n0.5 1 1 0 0\n0.0 0 0 0 0\n"
     ham = parse_fcidump(text)
@@ -263,7 +290,7 @@ def test_writer_matches_reference_on_random_instances(rng):
         h = ham.one_body.copy()
         h[p[: len(edges)], q[: len(edges)]] = edges[: len(p)]
         h[q[: len(edges)], p[: len(edges)]] = edges[: len(p)]
-        ham = dataclasses.replace(ham, one_body=h, two_body=from_pair_matrix(pairs, n))
+        ham = dataclasses.replace(ham, one_body=h, two_body=spread_pair_matrix(pairs, n))
         text = write_fcidump(ham)
         assert text == reference_write_fcidump(ham)
         assert "1e-12 " not in text
@@ -409,7 +436,7 @@ def reference_parse_fcidump(text):
     h += np.tril(h, -1).T
     return MolecularHamiltonian(
         n_orbitals=norb, core_constant=core, one_body=h,
-        two_body=from_pair_matrix(pairs, norb), n_electrons=nelec,
+        two_body=spread_pair_matrix(pairs, norb), n_electrons=nelec,
     )
 
 

@@ -19,11 +19,11 @@ from onenorm import (
 from onenorm.errors import InputError
 from onenorm.localize import check_window
 from onenorm.integrals import (
-    CLASS_NAMES, SYMMETRY_TOL, _CLASS_OF_COINCIDENCE, from_pair_matrix, index_plan, integer_tuple,
+    CLASS_NAMES, SYMMETRY_TOL, _CLASS_OF_COINCIDENCE, index_plan, integer_tuple,
     pair_index, pair_matrix, row_blocks, symmetrize_two_body,
 )
 
-from conftest import random_hamiltonian, random_orthogonal
+from conftest import random_hamiltonian, random_orthogonal, spread_pair_matrix
 
 
 # Construction paths: each builder sets up its inputs and returns a thunk
@@ -260,14 +260,6 @@ def test_integers_are_kept_exact():
     assert OptimizerConfig(max_iterations=np.int64(big)).max_iterations == big
 
 
-def _per_call_from_pair_matrix(pairs, n):
-    """``from_pair_matrix`` as it was before the index plans and the blocked
-    spread, with its P x P ``np.where`` and (N^2, P) take: the oracle."""
-    pairs = np.where(np.tri(len(pairs), dtype=bool), pairs, pairs.T)
-    spread = pair_index(*np.indices((n, n)).reshape(2, -1))
-    return np.take(np.take(pairs, spread, axis=0), spread, axis=1).reshape(n, n, n, n)
-
-
 def _unblocked_pair_matrix(g):
     """``pair_matrix`` as it was before the blocked gather: the oracle."""
     n = g.shape[0]
@@ -282,7 +274,7 @@ def _unblocked_symmetrize_two_body(dense):
     n = dense.shape[0]
     if not np.isfinite(dense).all():
         raise InputError("two-body tensor contains non-finite entries")
-    filled = _per_call_from_pair_matrix(_unblocked_pair_matrix(dense)[2], n)
+    filled = spread_pair_matrix(_unblocked_pair_matrix(dense)[2], n)
     err = max(
         (float(np.max(np.abs(dense[b] - filled[b]))) for b in row_blocks(n, n**3)),
         default=0.0,
@@ -303,8 +295,8 @@ def _refusal(fill, dense):
 
 @pytest.mark.parametrize("n", [*range(13), 24, 50])
 def test_blocked_layout_helpers_match_the_unblocked_ones(n, rng):
-    # values are copied, never combined, so the blocked gather, spread and
-    # fill reproduce the unblocked ones bit for bit, -0.0 entries included;
+    # values are copied, never combined, so the blocked gather and fill
+    # reproduce the unblocked ones bit for bit, -0.0 entries included;
     # N = 24 and 50 run several pair-row blocks
     g = rng.standard_normal((n,) * 4)
     g[g < -1.0] = -0.0
@@ -314,15 +306,16 @@ def test_blocked_layout_helpers_match_the_unblocked_ones(n, rng):
     assert np.array_equal(p, expected[0]) and np.array_equal(q, expected[1])
     assert pairs.tobytes() == expected[2].tobytes()
     del expected
-    filled = from_pair_matrix(pairs, n)  # reads the lower triangle only
-    assert filled.tobytes() == _per_call_from_pair_matrix(pairs, n).tobytes()
-    assert not filled.flags.writeable
+    filled = spread_pair_matrix(pairs, n)
     del pairs
     # round-off below SYMMETRY_TOL in every entry is accepted, and the fill
     # takes the canonical entries; the -0.0 entries stay -0.0
     noisy = filled + 1e-9 * rng.uniform(-1.0, 1.0, filled.shape)
     noisy = np.where(filled == 0.0, filled, noisy)
-    assert symmetrize_two_body(noisy).tobytes() == _unblocked_symmetrize_two_body(noisy).tobytes()
+    fill = symmetrize_two_body(noisy)
+    assert fill.tobytes() == _unblocked_symmetrize_two_body(noisy).tobytes()
+    assert not fill.flags.writeable
+    del fill
     if n < 2:
         return
     # a 1e-7 asymmetry is refused with the same message, hence the same error
