@@ -45,7 +45,7 @@ def pair_index(p, q):
     return hi * (hi + 1) // 2 + lo
 
 
-IndexPlan = namedtuple("IndexPlan", "flat p q mirror spread rows cols bra ket swapped")
+IndexPlan = namedtuple("IndexPlan", "flat p q images mirror spread rows cols bra ket swapped")
 
 
 @lru_cache(maxsize=16)
@@ -57,22 +57,31 @@ def index_plan(n: int) -> IndexPlan:
     flat, p, q          the pairs p>=q row by row, which is pair order;
                         flat = p * N + q indexes a row of g reshaped to
                         (N^2, N^2)
+    images              the images of each pair in a row of g, 1.0 for
+                        p = q and 2.0 otherwise, so that G[a, b] of
+                        ``pair_matrix`` stands for images[a] images[b]
+                        entries of g
     mirror              q * N + p, the row of the same pair as (q, p)
     spread              the pair index of each flat (p, q), over all N^2
     rows, cols          the strict upper triangle, row by row
     bra, ket, swapped   the p>r, s>q quarter that lambda_V' sums over, as
-                        offsets into g.reshape(-1): bra = p N^3 + r N over
-                        p>r, shape (M, 1), and ket = q N^2 + s and
-                        swapped = s N^2 + q over s>q, so that bra + ket
-                        indexes g_pqrs and bra + swapped g_psrq
+                        offsets into g.reshape(-1), both in the order of
+                        the pairs (hi, lo) of ``np.tril_indices(N, -1)``:
+                        bra = hi N^3 + lo N, shape (M, 1), for (p, r), and
+                        ket = lo N^2 + hi and swapped = hi N^2 + lo for
+                        (s, q), so that bra + ket indexes g_pqrs and
+                        bra + swapped g_psrq.  g_pqrs - g_psrq is the same
+                        under (p, q, r, s) -> (s, r, q, p), so on an
+                        exactly symmetric g the (M, M) quarter is a
+                        symmetric matrix bit for bit
     """
     flat = np.flatnonzero(np.tri(n, dtype=bool))
     p, q = np.divmod(flat, n)
     spread = pair_index(*np.indices((n, n)).reshape(2, -1))
     rows, cols = np.triu_indices(n, 1)
     hi, lo = np.tril_indices(n, -1)
-    plan = IndexPlan(flat, p, q, q * n + p, spread, rows, cols, (hi * n**3 + lo * n)[:, None],
-                     rows * n**2 + cols, cols * n**2 + rows)
+    plan = IndexPlan(flat, p, q, np.where(p == q, 1.0, 2.0), q * n + p, spread, rows, cols,
+                     (hi * n**3 + lo * n)[:, None], lo * n**2 + hi, hi * n**2 + lo)
     for array in plan:
         array.setflags(write=False)
     return plan
@@ -137,7 +146,7 @@ def symmetrize_two_body(dense: np.ndarray) -> np.ndarray:
     if not np.isfinite(dense).all():
         raise InputError("two-body tensor contains non-finite entries")
     rows = dense.reshape(n * n, n * n)
-    flat, _, _, mirror, spread, *_ = index_plan(n)
+    flat, _, _, _, mirror, spread, *_ = index_plan(n)
     size = len(flat)
     filled = np.empty((n * n, n * n))
     for block in row_blocks(size, n * n):
@@ -426,9 +435,8 @@ def class_decomposition(ham: MolecularHamiltonian) -> dict[str, float]:
     images, and its class follows from how many index pairs coincide.
     """
     n = ham.n_orbitals
-    flat, p, q, *_ = index_plan(n)
+    flat, p, q, images, *_ = index_plan(n)
     rows = ham.two_body_dense().reshape(n * n, n * n)
-    images = np.where(p == q, 1.0, 2.0)
     # the key of _CLASS_OF_KEY for bra pair a and ket pair b is
     # ket_occurs[p[a], b] + occurs[q[a], b] + bra[a], where occurs[k, b] is
     # 4 x how often orbital k is in pair b

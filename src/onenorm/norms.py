@@ -18,7 +18,12 @@ is also provided; lambda_V' <= lambda_V always.
 
 All sums over the N^4 index space accumulate in extended precision
 (np.longdouble) so results are reproducible to well below test tolerances.
-No pass holds more than a fraction of the N^4 tensor in temporaries.
+sum |g| and the lambda_V' quarter read each distinct value once, from the
+lower triangle of a symmetric matrix with exact power-of-two weights.
+That reorders the sums: where np.longdouble is the 80-bit x87 type they
+matched the full sums bit for bit on every tensor tested, but a reordered
+sum can still differ in the last bit on another input.  No pass holds
+more than a fraction of the N^4 tensor in temporaries.
 """
 
 from __future__ import annotations
@@ -57,33 +62,83 @@ def _abs_sum(values) -> float:
     return float(sum(np.sum(np.abs(values[b]), dtype=np.longdouble) for b in blocks))
 
 
+def _symmetric_abs_sum(panels) -> float:
+    """Sum of |S| in extended precision over a bit-symmetric matrix S, read
+    from its lower triangle: ``panels`` yields S[b, :b.stop] for the row
+    blocks b of ``row_blocks`` in order, each a fresh array that is
+    overwritten with its |.|.  The part left of a block's square stands for
+    itself and its mirror, so it is doubled in place, an exact weight; one
+    block is a plain sum of S."""
+    total = np.longdouble(0.0)
+    for panel in panels:
+        np.abs(panel, out=panel)
+        panel[:, : panel.shape[1] - panel.shape[0]] *= 2.0
+        total += np.sum(panel, dtype=np.longdouble)
+    return float(total)
+
+
+def _image_weighted_pair_panels(g):
+    """The row panels G[b, :b.stop] of the pair matrix of ``pair_matrix``,
+    gathered from g one row block at a time, each entry times its exact
+    image count images[a] images[b] of ``index_plan``."""
+    n = g.shape[0]
+    flat, _, _, images, *_ = index_plan(n)
+    rows = g.reshape(n * n, n * n)
+    for b in row_blocks(len(flat), len(flat)):
+        panel = rows[flat[b, None], flat[: b.stop]]
+        panel *= images[: b.stop]
+        panel *= images[b, None]
+        yield panel
+
+
+def _two_body_abs_sum(g) -> float:
+    """sum |g_pqrs| over all N^4 entries, each distinct value read once from
+    the lower triangle of the pair matrix."""
+    return _symmetric_abs_sum(_image_weighted_pair_panels(g))
+
+
 def t_matrix(h, g) -> np.ndarray:
     """t_pq = h_pq + sum_r g_pqrr - 1/2 sum_r g_prrq, whose |.| sum is lambda_T."""
     return h + np.einsum("pqrr->pq", g) - 0.5 * np.einsum("prrq->pq", g)
+
+
+def _quarter_rows(g, b, stop):
+    """A fresh d[b, :stop] = g_pqrs - g_psrq of the quarter of
+    ``v_prime_quarter``, gathered through the offsets of ``index_plan``."""
+    *_, bra, ket, swapped = index_plan(g.shape[0])
+    flat = g.reshape(-1)
+    bra = bra[b]
+    out = np.take(flat, bra + ket[:stop])
+    out -= np.take(flat, bra + swapped[:stop])
+    return out
 
 
 def v_prime_quarter(g):
     """``(bra, ket, swapped, d)``: the offsets of ``index_plan`` into
     g.reshape(-1), so that bra + ket indexes g_pqrs and bra + swapped
     g_psrq over the p>r, s>q quarter lambda_V' sums over, and a fresh
-    (M, M) d = g_pqrs - g_psrq there, gathered one row block at a time."""
+    (M, M) d = g_pqrs - g_psrq there, gathered one row block at a time.
+    d equals its transpose bit for bit when the images of g are equal."""
     *_, bra, ket, swapped = index_plan(g.shape[0])
-    flat = g.reshape(-1)
     d = np.empty((len(bra), len(ket)))
     for b in row_blocks(len(bra), len(ket)):
-        d[b] = np.take(flat, bra[b] + ket)
-        d[b] -= np.take(flat, bra[b] + swapped)
+        d[b] = _quarter_rows(g, b, len(ket))
     return bra, ket, swapped, d
 
 
+def _quarter_abs_sum(g) -> float:
+    """sum |d| over the quarter of ``v_prime_quarter``, gathered panel by
+    panel from its lower triangle, so each distinct value is read once."""
+    size = len(index_plan(g.shape[0]).bra)
+    return _symmetric_abs_sum(_quarter_rows(g, b, b.stop) for b in row_blocks(size, size))
+
+
 def _lambda_v_prime(g, abs_sum_g=None) -> float:
-    """lambda_V' from the quarter of ``v_prime_quarter``; ``abs_sum_g`` is
-    sum |g| when the caller has it."""
-    *_, antisym = v_prime_quarter(g)
-    np.abs(antisym, out=antisym)
+    """lambda_V' from the quarter and sum |g|; ``abs_sum_g`` is sum |g|
+    when the caller has it."""
     if abs_sum_g is None:
-        abs_sum_g = _abs_sum(g)
-    return 0.5 * float(np.sum(antisym, dtype=np.longdouble)) + 0.25 * abs_sum_g
+        abs_sum_g = _two_body_abs_sum(g)
+    return 0.5 * _quarter_abs_sum(g) + 0.25 * abs_sum_g
 
 
 def lambda_c(ham: MolecularHamiltonian) -> float:
@@ -102,7 +157,7 @@ def lambda_t(ham: MolecularHamiltonian) -> float:
 
 def lambda_v_lee(ham: MolecularHamiltonian) -> float:
     """Plain two-body coefficient norm: 1/2 sum |g_pqrs|."""
-    return 0.5 * _abs_sum(ham.two_body_dense())
+    return 0.5 * _two_body_abs_sum(ham.two_body_dense())
 
 
 def lambda_v_prime(ham: MolecularHamiltonian) -> float:
@@ -151,7 +206,7 @@ def norm_report(
     g = ham.two_body_dense()
     lc = lambda_c(ham)
     lt = lambda_t(ham)
-    abs_sum_g = _abs_sum(g)
+    abs_sum_g = _two_body_abs_sum(g)
     lv = 0.5 * abs_sum_g
     lvp = _lambda_v_prime(g, abs_sum_g)
     lsf = None

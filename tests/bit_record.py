@@ -4,6 +4,8 @@ Prints one JSON object of ``repr`` floats and counts:
 
 - per fixture, lambda_Q in the CMO basis, and lambda_Q and sweeps after
   ER, FB, PM and OAO Jacobi localization;
+- per fixture, lambda_V and lambda_V' of the CMO ``norm_report``, and
+  lambda_SF and the rank of its Cholesky vectors;
 - ER gradient ascent on H2/cc-pVDZ;
 - ``onenorm optimize`` with its default flags on H2/cc-pVDZ and H10;
 - the criterion-10 SLSQP run on H2/cc-pVDZ (the ER-ascent start);
@@ -48,8 +50,8 @@ def _read(stem, kind):
 def record() -> dict:
     # imported here, in the child, which has src/ on its path
     from onenorm import (
-        LocalizationRequest, OptimizerConfig, class_decomposition, lambda_q, localize,
-        minimize_norm, parse_auxiliary, parse_fcidump,
+        LocalizationRequest, OptimizerConfig, cholesky_decompose, class_decomposition, lambda_q,
+        lambda_sf, localize, minimize_norm, norm_report, parse_auxiliary, parse_fcidump,
     )
 
     def optimized(ham, config):
@@ -63,6 +65,12 @@ def record() -> dict:
         ham = parse_fcidump(_read(stem, "cmo.fcidump"))
         aux = parse_auxiliary(_read(stem, "aux.txt"))
         row = {"cmo": lambda_q(ham)}
+        report = norm_report(ham)
+        chol = cholesky_decompose(ham)  # as norm_report(with_cholesky=True) runs it
+        row["cmo_norms"] = {"lambda_V_lee": report.lambda_V_lee,
+                            "lambda_V_prime": report.lambda_V_prime,
+                            "lambda_SF": lambda_sf(chol),
+                            "cholesky_rank": chol.rank}
         for scheme in ("er", "fb", "pm", "oao"):
             loc = localize(ham, None, aux, LocalizationRequest(scheme=scheme))
             row[scheme] = [lambda_q(loc.hamiltonian), loc.sweeps]

@@ -366,13 +366,15 @@ def test_index_plan_matches_the_per_call_builds(n):
     q, s = np.triu_indices(n, 1)
     expected = {
         "flat": flat, "p": flat // max(n, 1), "q": flat % max(n, 1),
+        "images": np.where(flat // max(n, 1) == flat % max(n, 1), 1.0, 2.0),
         "mirror": (flat % max(n, 1)) * n + flat // max(n, 1),
         "spread": pair_index(*np.indices((n, n)).reshape(2, -1)),
         "rows": q, "cols": s,
-        # offsets of g[hi, q, lo, s] and g[hi, s, lo, q] broadcast over (M, M)
+        # offsets of g[hi, q, lo, s] and g[hi, s, lo, q] broadcast over (M, M),
+        # with (s, q) in the same pair order as (hi, lo)
         "bra": np.ravel_multi_index((hi[:, None], 0, lo[:, None], 0), (n,) * 4),
-        "ket": np.ravel_multi_index((0, q, 0, s), (n,) * 4),
-        "swapped": np.ravel_multi_index((0, s, 0, q), (n,) * 4),
+        "ket": np.ravel_multi_index((0, lo, 0, hi), (n,) * 4),
+        "swapped": np.ravel_multi_index((0, hi, 0, lo), (n,) * 4),
     }
     for name, array in plan._asdict().items():
         assert np.array_equal(array, expected[name]) and array.shape == expected[name].shape, name
@@ -532,6 +534,20 @@ def test_auxiliary_orthonormality_enforced():
     with pytest.raises(InputError, match="orthonormal"):
         AuxiliaryIntegrals(ao_overlap=s, mo_coefficients=bad_c)
     AuxiliaryIntegrals(ao_overlap=s, mo_coefficients=np.eye(2))
+
+
+@pytest.mark.parametrize("deviation, refused", [(1e-7, True), (1e-9, False)])
+def test_mo_coeff_orthonormality_bound_is_1e_8(deviation, refused):
+    # C^T S C = diag(1, 1 + deviation)
+    s = np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = np.linalg.cholesky(np.linalg.inv(s)) @ np.diag([1.0, np.sqrt(1.0 + deviation)])
+    gram = c.T @ s @ c
+    assert abs(np.max(np.abs(gram - np.eye(2))) - deviation) <= 1e-15
+    if refused:
+        with pytest.raises(InputError, match="not S-orthonormal"):
+            AuxiliaryIntegrals(ao_overlap=s, mo_coefficients=c)
+    else:
+        AuxiliaryIntegrals(ao_overlap=s, mo_coefficients=c)
 
 
 def test_auxiliary_dimension_cross_checks():

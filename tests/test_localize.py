@@ -348,6 +348,18 @@ def test_jacobi_pair_angle_is_pairwise_optimal(rng):
             assert max(values) <= base + 1e-6
 
 
+def test_jacobi_rotates_a_pair_just_above_the_flatness_floor():
+    from onenorm.localize import _jacobi
+
+    # for the pair (0, 1): d = (2 + 2e-10, 2e-10) and v = (0, 1), so that
+    # A = 2e-10 > 0 and B = -2e-10 while the cancelling terms sum to 2:
+    # hypot(A, B) and |B| sit near 1e-10 of that scale, above both floors
+    mats = np.array([[[2.0 + 2e-10, 0.0], [0.0, 0.0]], [[2e-10, 1.0], [1.0, 0.0]]])
+    u, log, _, _ = _jacobi(mats, np.ones(2), [0, 1], LocalizationRequest(scheme="er"))
+    assert abs(u[0, 1]) == pytest.approx(np.sin(np.pi / 16), rel=1e-5)
+    assert log[1] > log[0]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 @pytest.mark.parametrize("psd", [True, False])
 def test_er_factors_reconstruct_the_tensor(rng, n, psd):

@@ -22,12 +22,14 @@ from onenorm import (
     write_fcidump,
 )
 from onenorm.errors import NotPositiveSemidefiniteError
-from onenorm.integrals import index_plan
-from onenorm.norms import v_prime_quarter
+from onenorm.integrals import index_plan, row_blocks
+from onenorm.norms import _quarter_abs_sum, _two_body_abs_sum, v_prime_quarter
 from onenorm.optimize import _gradient
 
 from conftest import (
+    CHAIN_SIZES,
     H2_FCIDUMP,
+    chain_path,
     random_hamiltonian,
     random_orthogonal,
     random_psd_hamiltonian,
@@ -112,11 +114,12 @@ def test_lambda_v_prime_matches_mask_oracle(rng):
 
 
 def _broadcast_v_prime_quarter(g):
-    """``v_prime_quarter`` as it was before the index plans, gathering
-    through broadcast ``tril_indices``/``triu_indices``: the oracle."""
+    """``v_prime_quarter`` gathered through broadcast ``tril_indices``, the
+    pairs (p, r) down the rows and (s, q) in the same order along them:
+    the oracle."""
     n = g.shape[0]
     p, r = np.tril_indices(n, -1)
-    q, s = np.triu_indices(n, 1)
+    s, q = np.tril_indices(n, -1)
     p, r = p[:, None], r[:, None]
     d = g[p, q, r, s]
     d -= g[p, s, r, q]
@@ -133,6 +136,81 @@ def test_v_prime_quarter_matches_the_broadcast_gather(n, rng):
     assert np.array_equal(bra + ket, np.ravel_multi_index(np.broadcast_arrays(p, q, r, s), g.shape))
     assert np.array_equal(bra + swapped,
                           np.ravel_multi_index(np.broadcast_arrays(p, s, r, q), g.shape))
+
+
+def _full_sums(g):
+    """sum |g| over all N^4 entries and sum |d| over the whole quarter,
+    gathered with the ket pairs (q, s) of ``triu_indices``, as the norms
+    summed them before the canonical sums: the oracle."""
+    n = g.shape[0]
+    abs_g = sum(np.sum(np.abs(g[b]), dtype=np.longdouble) for b in row_blocks(n, n**3))
+    p, r = np.tril_indices(n, -1)
+    q, s = np.triu_indices(n, 1)
+    p, r = p[:, None], r[:, None]
+    d = g[p, q, r, s] - g[p, s, r, q]
+    return float(abs_g), float(np.sum(np.abs(d), dtype=np.longdouble))
+
+
+def _assert_canonical_sums_are_the_full_ones(g):
+    abs_g, abs_d = _full_sums(g)
+    assert _two_body_abs_sum(g).hex() == abs_g.hex()
+    assert _quarter_abs_sum(g).hex() == abs_d.hex()
+    d = v_prime_quarter(g)[3]
+    assert d.tobytes() == np.ascontiguousarray(d.T).tobytes()
+
+
+def _random_tensor(n, rng, scale=1.0):
+    """A tensor whose images hold a random pair matrix's lower triangle."""
+    size = n * (n + 1) // 2
+    return spread_pair_matrix(rng.standard_normal((size, size)) * scale, n)
+
+
+# the canonical sums reorder an extended-precision sum; with a 64-bit
+# significand they matched the full sums on every tensor tested
+requires_x87_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63,
+    reason="np.longdouble is not the 80-bit x87 type, so the canonical sums "
+           "may differ from the full ones in the last bit",
+)
+
+
+@requires_x87_long_double
+@requires_fixtures
+@pytest.mark.parametrize("stem", ["h2_ccpvdz", *CHAIN_SIZES])
+def test_canonical_sums_equal_the_full_ones_on_the_fixtures(stem):
+    path = H2_FCIDUMP if stem == "h2_ccpvdz" else chain_path(stem)
+    _assert_canonical_sums_are_the_full_ones(parse_fcidump(open(path).read()).two_body_dense())
+
+
+@requires_x87_long_double
+@pytest.mark.parametrize("n", [*range(13), 24, 50])
+def test_canonical_sums_equal_the_full_ones(n, rng):
+    # at N = 24 and 50 the pair matrix and the quarter are read in several row blocks
+    _assert_canonical_sums_are_the_full_ones(_random_tensor(n, rng))
+
+
+@requires_x87_long_double
+def test_canonical_sums_equal_the_full_ones_over_scales():
+    rng = np.random.default_rng(20211)
+    for _ in range(200):
+        n = int(rng.integers(2, 16))
+        _assert_canonical_sums_are_the_full_ones(
+            _random_tensor(n, rng, scale=10.0 ** rng.uniform(-3.0, 6.0)))
+
+
+@requires_x87_long_double
+@pytest.mark.parametrize("n", [5, 10])
+def test_canonical_sums_read_negative_zeros(n, rng):
+    size = n * (n + 1) // 2
+    pairs = rng.standard_normal((size, size))
+    pairs[rng.random(pairs.shape) < 0.3] = -0.0
+    g = spread_pair_matrix(pairs, n)
+    assert (np.signbit(g) & (g == 0.0)).any()
+    _assert_canonical_sums_are_the_full_ones(g)
+    ham = MolecularHamiltonian.from_dense(0.0, np.zeros((n, n)), g)
+    abs_g, abs_d = _full_sums(g)
+    assert lambda_v_prime(ham).hex() == (0.5 * abs_d + 0.25 * abs_g).hex()
+    assert lambda_v_lee(ham).hex() == (0.5 * abs_g).hex()
 
 
 def _peak_in_tensors(func, nbytes):
