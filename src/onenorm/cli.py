@@ -77,11 +77,19 @@ def _emit(args, payload, csv_text: str | None = None):
     sys.stdout.write(csv_text if as_csv else json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def integer(text: str) -> int:
+    """An integer flag under the input files' number grammar (argparse prints this name)."""
+    return fcidump.parse_number(text, int)
+
+
 def _parse_indices(text: str | None):
+    """The entries of an index list under the number grammar of the input
+    files: an int where written as one, else a float for the integer rule."""
     if text is None or text == "":
         return None
     try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
+        return tuple(fcidump.parse_number(tok, int if tok.lstrip("+-").isdigit() else float)
+                     for tok in text.replace(",", " ").split())
     except ValueError:
         raise InputError(f"expected a comma/space separated index list, got {text!r}") from None
 
@@ -394,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jacobi-scan", help="lambda_Q along a single pair rotation")
     p.add_argument("input")
-    p.add_argument("--pair", nargs=2, type=int, required=True, metavar=("P", "Q"))
-    p.add_argument("--steps", type=int, default=32)
+    p.add_argument("--pair", nargs=2, type=integer, required=True, metavar=("P", "Q"))
+    p.add_argument("--steps", type=integer, default=32)
     p.add_argument("--max-angle", type=float, default=float(np.pi / 2))
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=_cmd_jacobi_scan)
@@ -405,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frozen", default=None, help="comma list of frozen orbitals")
     p.add_argument("--active", default=None,
                    help="comma list of active orbitals; unlisted orbitals are deleted")
-    p.add_argument("--fermi-window", type=int, default=None,
+    p.add_argument("--fermi-window", type=integer, default=None,
                    help="pick this many active orbitals around the Fermi level")
-    p.add_argument("--active-electrons", type=int, default=0)
+    p.add_argument("--active-electrons", type=integer, default=0)
     p.add_argument("-o", "--output", help="write active-space FCIDUMP here")
     p.set_defaults(func=_cmd_freeze)
 
@@ -420,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux", help="auxiliary labeled-matrix file")
     p.add_argument("--window", default=None, help="comma list of orbitals to mix")
     p.add_argument("--tol", type=float, default=request.convergence_tol)
-    p.add_argument("--max-sweeps", type=int, default=request.max_sweeps,
+    p.add_argument("--max-sweeps", type=integer, default=request.max_sweeps,
                    help="cap on Jacobi sweeps or ascent iterations (default: %(default)s)")
     p.add_argument("--rotation-out", help="write the rotation matrix here")
     p.add_argument("-o", "--output", help="write localized FCIDUMP here")
@@ -433,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["current", *LOCALIZE_SCHEMES],
                    help="starting basis (default: %(default)s-localized)")
     p.add_argument("--window", default=None)
-    p.add_argument("--max-iter", type=int, default=config.max_iterations,
+    p.add_argument("--max-iter", type=integer, default=config.max_iterations,
                    help="cap on the solver's iterations over the whole run; "
                         "0 returns the start (default: %(default)s)")
     p.add_argument("--tol", type=float, default=config.convergence_tol)
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also minimize lambda_Q from the ER basis")
     p.add_argument("--algorithm", default="sequential-quadratic",
                    choices=list(OPTIMIZER_ALGORITHMS))
-    p.add_argument("--max-iter", type=int, default=300)
+    p.add_argument("--max-iter", type=integer, default=300)
     p.add_argument("--csv", action="store_true", help="CSV of the rows instead of JSON")
     p.set_defaults(func=_cmd_table_benchmark)
 

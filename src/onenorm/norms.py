@@ -49,17 +49,10 @@ __all__ = [
     "cholesky_decompose",
     "lambda_sf",
     "t_matrix",
-    "v_prime_quarter",
+    "quarter_rows",
 ]
 
 CHOLESKY_TOL = 1e-8  # default stopping diagonal of cholesky_decompose
-
-
-def _abs_sum(values) -> float:
-    """Sum of |values| in extended precision, over blocks of leading rows."""
-    rows = len(values)
-    blocks = row_blocks(rows, values[0].size if rows else 0)
-    return float(sum(np.sum(np.abs(values[b]), dtype=np.longdouble) for b in blocks))
 
 
 def _symmetric_abs_sum(panels) -> float:
@@ -102,9 +95,11 @@ def t_matrix(h, g) -> np.ndarray:
     return h + np.einsum("pqrr->pq", g) - 0.5 * np.einsum("prrq->pq", g)
 
 
-def _quarter_rows(g, b, stop):
-    """A fresh d[b, :stop] = g_pqrs - g_psrq of the quarter of
-    ``v_prime_quarter``, gathered through the offsets of ``index_plan``."""
+def quarter_rows(g, b, stop):
+    """A fresh d[b, :stop] of the (M, M) quarter d = g_pqrs - g_psrq over
+    p>r, s>q that lambda_V' sums over, M = N(N-1)/2, gathered through the
+    offsets ``bra[b] + ket`` and ``bra[b] + swapped`` of ``index_plan``.
+    d equals its transpose bit for bit when the images of g are equal."""
     *_, bra, ket, swapped = index_plan(g.shape[0])
     flat = g.reshape(-1)
     bra = bra[b]
@@ -113,32 +108,12 @@ def _quarter_rows(g, b, stop):
     return out
 
 
-def v_prime_quarter(g):
-    """``(bra, ket, swapped, d)``: the offsets of ``index_plan`` into
-    g.reshape(-1), so that bra + ket indexes g_pqrs and bra + swapped
-    g_psrq over the p>r, s>q quarter lambda_V' sums over, and a fresh
-    (M, M) d = g_pqrs - g_psrq there, gathered one row block at a time.
-    d equals its transpose bit for bit when the images of g are equal."""
-    *_, bra, ket, swapped = index_plan(g.shape[0])
-    d = np.empty((len(bra), len(ket)))
-    for b in row_blocks(len(bra), len(ket)):
-        d[b] = _quarter_rows(g, b, len(ket))
-    return bra, ket, swapped, d
-
-
-def _quarter_abs_sum(g) -> float:
-    """sum |d| over the quarter of ``v_prime_quarter``, gathered panel by
-    panel from its lower triangle, so each distinct value is read once."""
+def _lambda_v_prime(g, abs_sum_g) -> float:
+    """lambda_V' from abs_sum_g = sum |g| and sum |d| over the quarter of
+    ``quarter_rows``, each distinct d read once from its lower triangle."""
     size = len(index_plan(g.shape[0]).bra)
-    return _symmetric_abs_sum(_quarter_rows(g, b, b.stop) for b in row_blocks(size, size))
-
-
-def _lambda_v_prime(g, abs_sum_g=None) -> float:
-    """lambda_V' from the quarter and sum |g|; ``abs_sum_g`` is sum |g|
-    when the caller has it."""
-    if abs_sum_g is None:
-        abs_sum_g = _two_body_abs_sum(g)
-    return 0.5 * _quarter_abs_sum(g) + 0.25 * abs_sum_g
+    abs_sum_d = _symmetric_abs_sum(quarter_rows(g, b, b.stop) for b in row_blocks(size, size))
+    return 0.5 * abs_sum_d + 0.25 * abs_sum_g
 
 
 def lambda_c(ham: MolecularHamiltonian) -> float:
@@ -152,7 +127,8 @@ def lambda_c(ham: MolecularHamiltonian) -> float:
 
 def lambda_t(ham: MolecularHamiltonian) -> float:
     """1-norm of the quadratic Majorana coefficients."""
-    return _abs_sum(t_matrix(ham.one_body, ham.two_body_dense()))
+    t = t_matrix(ham.one_body, ham.two_body_dense())
+    return float(np.sum(np.abs(t), dtype=np.longdouble))
 
 
 def lambda_v_lee(ham: MolecularHamiltonian) -> float:
@@ -162,12 +138,13 @@ def lambda_v_lee(ham: MolecularHamiltonian) -> float:
 
 def lambda_v_prime(ham: MolecularHamiltonian) -> float:
     """Quartic Majorana coefficient norm (tighter than lambda_v_lee)."""
-    return _lambda_v_prime(ham.two_body_dense())
+    g = ham.two_body_dense()
+    return _lambda_v_prime(g, _two_body_abs_sum(g))
 
 
 def lambda_q(ham: MolecularHamiltonian) -> float:
     """Pauli 1-norm lambda_T + lambda_V', the identity term left out."""
-    return lambda_t(ham) + _lambda_v_prime(ham.two_body_dense())
+    return lambda_t(ham) + lambda_v_prime(ham)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .integrals import AuxiliaryIntegrals, MolecularHamiltonian, index_plan, row
 from .localize import (
     METHODS, SCHEMES, LocalizationRequest, check_limits, check_window, localize, resolve_window,
 )
-from .norms import lambda_q, t_matrix, v_prime_quarter
+from .norms import lambda_q, quarter_rows, t_matrix
 from .transform import AntisymmetricGenerator, OrbitalRotation, exp_generator, rotate_hamiltonian
 
 __all__ = [
@@ -154,9 +154,9 @@ def _gradient(kvec, window, rotated) -> np.ndarray:
     lambda_Q depends on the rotated integrals through t' = U^T t U (the
     lambda_T matrix) and g', with partials sign(t') and C: 1/4 sign(g'),
     plus 1/2 sign(d) at (p, q, r, s) and -1/2 sign(d) at (p, s, r, q) for
-    the quarter and d of ``v_prime_quarter``, added through its flat
-    offsets block by block.  C holds multiples of 1/4, so any summation
-    order gives it exactly.
+    the quarter d of ``quarter_rows``, read and added through its flat
+    offsets one row block at a time.  C holds multiples of 1/4, so any
+    summation order gives it exactly.
     So dlambda/dU = U F, F = t' sign(t')^T + t'^T sign(t') + (g' contracted
     with C over each of its four slots), and dlambda/dK = -L(K, dlambda/dU)
     on the window, L being the Frechet derivative of expm (U = exp(-K)).
@@ -170,14 +170,14 @@ def _gradient(kvec, window, rotated) -> np.ndarray:
     t = t_matrix(ham.one_body, g)
     sign_t = np.sign(t)
     c = 0.25 * np.sign(g)
-    bra, ket, swapped, d = v_prime_quarter(g)
-    np.sign(d, out=d)
-    d *= 0.5
+    *_, bra, ket, swapped = index_plan(g.shape[0])
     flat = c.reshape(-1)
     for b in row_blocks(len(bra), len(ket)):
-        flat[bra[b] + ket] += d[b]
-        flat[bra[b] + swapped] -= d[b]
-    del d  # freed before the four-slot sum below
+        d = quarter_rows(g, b, len(ket))
+        np.sign(d, out=d)
+        d *= 0.5
+        flat[bra[b] + ket] += d
+        flat[bra[b] + swapped] -= d
     # g' is exactly 8-fold symmetric, so each slot's contraction is the
     # first slot's against a transposed C
     c = c + c.transpose(1, 0, 2, 3) + c.transpose(2, 3, 0, 1) + c.transpose(3, 2, 1, 0)

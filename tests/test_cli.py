@@ -490,6 +490,25 @@ def test_scaling_study_reads_aux_beside_each_fcidump(capsys, tmp_path):
 
 
 @requires_fixtures
+def test_scaling_study_strict_fails_on_an_unconverged_localization(capsys, monkeypatch):
+    import onenorm.cli as cli
+
+    chains = [chain_path(n) for n in (2, 3, 4)]
+    localize = cli.run_localize
+
+    def unconverged_on_h3(ham, coeff, aux, request):
+        result = localize(ham, coeff, aux, request)
+        return dataclasses.replace(result, converged=ham.n_orbitals != 3)
+
+    monkeypatch.setattr(cli, "run_localize", unconverged_on_h3)
+    argv = ["scaling-study", "--localize", "er", *chains]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["points"]) == 3
+    assert invoke(capsys, "--strict", *argv) == (
+        2, "", f"numerical failure: did not converge: {chain_path(3)}\n")
+
+
+@requires_fixtures
 def test_experiment_input_errors_are_one_line(capsys, tmp_path):
     h4, h4_aux = chain_path(4), os.path.join(FIXTURE_DIR, "hchain_04_sto3g_aux.txt")
     chains = [chain_path(n) for n in (2, 3, 4)]
@@ -660,6 +679,17 @@ def test_rotate_rejects_malformed_matrix_files(capsys, tmp_path, small_fcidump):
     (["norm", "{path}", "--cholesky-tol", "nan"], "Cholesky tolerance"),
     (["optimize", "{path}", "--window", "0,x"], "expected a comma/space separated index list"),
     (["freeze", "{path}"], "freeze requires --active or --fermi-window"),
+    # index lists follow the number grammar of the input files
+    (["localize", "{path}", "--scheme", "er", "--window", "0,\u0663"],
+     "expected a comma/space separated index list, got '0,\u0663'"),
+    (["localize", "{path}", "--scheme", "er", "--window", "0,1_0"],
+     "expected a comma/space separated index list, got '0,1_0'"),
+    (["localize", "{path}", "--scheme", "er", "--window", "0,0.5"],
+     "window entries must be integers, got 0.5"),
+    (["optimize", "{path}", "--window", "0 nan"], "window entries must be integers, got nan"),
+    (["freeze", "{path}", "--active", "0,1.5"], "active entries must be integers, got 1.5"),
+    (["freeze", "{path}", "--frozen", "\u0660", "--active", "1"],
+     "expected a comma/space separated index list, got '\u0660'"),
 ])
 def test_negative_caps_and_tolerances_are_input_errors(capsys, small_fcidump, argv, message):
     path, _ = small_fcidump
@@ -667,6 +697,24 @@ def test_negative_caps_and_tolerances_are_input_errors(capsys, small_fcidump, ar
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["jacobi-scan", "{path}", "--pair", "0", "1", "--steps", "1_0"], "--steps", "1_0"),
+    (["jacobi-scan", "{path}", "--pair", "0", "\u0661"], "--pair", "\u0661"),
+    (["localize", "{path}", "--scheme", "er", "--max-sweeps", "\u0663"], "--max-sweeps", "\u0663"),
+    (["optimize", "{path}", "--max-iter", "1_000"], "--max-iter", "1_000"),
+    (["freeze", "{path}", "--fermi-window", "2.0"], "--fermi-window", "2.0"),
+    (["freeze", "{path}", "--active", "0", "--active-electrons", "\uff12"],
+     "--active-electrons", "\uff12"),
+])
+def test_integer_flags_follow_the_file_number_grammar(capsys, small_fcidump, argv, flag, value):
+    # an integer flag is an ASCII integer without underscores, as in the
+    # input files; anything else is a usage error, exit 1
+    path, _ = small_fcidump
+    code, out, err = invoke(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out) == (1, "")
+    assert f"argument {flag}: invalid integer value: {value!r}" in err
 
 
 @requires_fixtures

@@ -23,7 +23,7 @@ from onenorm import (
 )
 from onenorm.errors import NotPositiveSemidefiniteError
 from onenorm.integrals import index_plan, row_blocks
-from onenorm.norms import _quarter_abs_sum, _two_body_abs_sum, v_prime_quarter
+from onenorm.norms import _lambda_v_prime, _two_body_abs_sum, quarter_rows
 from onenorm.optimize import _gradient
 
 from conftest import (
@@ -113,10 +113,16 @@ def test_lambda_v_prime_matches_mask_oracle(rng):
             assert norm_report(ham).lambda_V_prime == lambda_v_prime(ham)
 
 
+def _whole_quarter(g):
+    """The whole (M, M) quarter of ``quarter_rows``, read in one call."""
+    size = len(index_plan(g.shape[0]).bra)
+    return quarter_rows(g, slice(0, size), size)
+
+
 def _broadcast_v_prime_quarter(g):
-    """``v_prime_quarter`` gathered through broadcast ``tril_indices``, the
-    pairs (p, r) down the rows and (s, q) in the same order along them:
-    the oracle."""
+    """The quarter of ``quarter_rows`` gathered through broadcast
+    ``tril_indices``, the pairs (p, r) down the rows and (s, q) in the same
+    order along them: the oracle."""
     n = g.shape[0]
     p, r = np.tril_indices(n, -1)
     s, q = np.tril_indices(n, -1)
@@ -128,9 +134,10 @@ def _broadcast_v_prime_quarter(g):
 
 @pytest.mark.parametrize("n", [*range(13), 24])
 def test_v_prime_quarter_matches_the_broadcast_gather(n, rng):
-    # N = 24 gathers in two row blocks
+    # at N = 24 the gradient and the sums read the quarter in several row blocks
     g = random_hamiltonian(n, rng).two_body_dense()
-    bra, ket, swapped, d = v_prime_quarter(g)
+    *_, bra, ket, swapped = index_plan(n)
+    d = _whole_quarter(g)
     p, q, r, s, expected = _broadcast_v_prime_quarter(g)
     assert d.shape == expected.shape and d.tobytes() == expected.tobytes()
     assert np.array_equal(bra + ket, np.ravel_multi_index(np.broadcast_arrays(p, q, r, s), g.shape))
@@ -154,8 +161,10 @@ def _full_sums(g):
 def _assert_canonical_sums_are_the_full_ones(g):
     abs_g, abs_d = _full_sums(g)
     assert _two_body_abs_sum(g).hex() == abs_g.hex()
-    assert _quarter_abs_sum(g).hex() == abs_d.hex()
-    d = v_prime_quarter(g)[3]
+    # with sum |g| = 0, twice lambda_V' is the quarter's sum |d|: halving and
+    # doubling are exact
+    assert (2.0 * _lambda_v_prime(g, 0.0)).hex() == abs_d.hex()
+    d = _whole_quarter(g)
     assert d.tobytes() == np.ascontiguousarray(d.T).tobytes()
 
 

@@ -252,7 +252,7 @@ def test_gradient_matches_stencil(rng):
 def _mask_built_gradient(kvec, window, rotated):
     """``_gradient`` with C built from N^4 index masks over the whole
     tensor, the way it was first written: the oracle for the quarter of
-    ``v_prime_quarter``."""
+    ``quarter_rows``."""
     from scipy.linalg import expm_frechet
 
     from onenorm import AntisymmetricGenerator
